@@ -11,11 +11,15 @@
 //! reduction order), re-capture the constants and say so in the commit.
 
 use odrl_controllers::PowerController;
-use odrl_core::{OdRlConfig, OdRlController};
+use odrl_core::{OdRlConfig, OdRlController, PolicySnapshot};
 use odrl_faults::FaultPlan;
 use odrl_manycore::{Parallelism, System, SystemConfig};
 use odrl_metrics::RunRecorder;
 use odrl_power::{LevelId, Watts};
+use odrl_rl::{
+    snapshot as rl_snapshot, Agent, Algorithm, DoubleAgent, Policy, QTableLayout, Schedule,
+    KIND_AGENT, KIND_DOUBLE_AGENT, KIND_POLICY_SET,
+};
 use odrl_workload::MixPolicy;
 
 /// Scenario: 256 cores, round-robin mix, seed 42, budget 0.6 × max power.
@@ -91,7 +95,6 @@ fn check(par: Parallelism, empty_fault_plan: bool) {
     let summary = recorder.finish();
     let policy = ctrl.export_policy();
 
-
     assert_eq!(system.telemetry().epochs(), EPOCHS, "{par:?}");
     assert_eq!(
         system.telemetry().total_instructions().to_bits(),
@@ -146,4 +149,236 @@ fn four_shard_closed_loop_matches_pre_soa_golden() {
 fn zero_fault_plan_preserves_golden_hashes() {
     check(Parallelism::Serial, true);
     check(Parallelism::Threads(4), true);
+}
+
+// ---------------------------------------------------------------------------
+// Per-algorithm / per-layout goldens for the RL block pipeline.
+//
+// Every TD rule × Q-table layout pairing, serial and sharded four ways, plus
+// chips that imported policies which draw no leading ε uniform (softmax,
+// UCB1, greedy) and so select per core inside the block loop. Each case
+// hashes the run summary, the exported Q-tables and the telemetry totals
+// into one constant. The serial and four-shard runs of a case share it.
+
+/// Scenario for the per-variant goldens: 64 cores, round-robin mix, seed
+/// 7, budget 0.55 × max power, 100 epochs.
+const VARIANT_CORES: usize = 64;
+const VARIANT_SEED: u64 = 7;
+const VARIANT_EPOCHS: u64 = 100;
+
+/// How the per-core agents of a variant run are seeded.
+#[derive(Clone, Copy, Debug)]
+enum Agents {
+    /// Built by the controller from [`OdRlConfig`] (ε-greedy).
+    Config(Algorithm, QTableLayout),
+    /// Replaced right after construction by an imported snapshot whose
+    /// agents all carry `policy`.
+    Imported(Algorithm, QTableLayout, Policy),
+}
+
+/// A policy snapshot of `cores` fresh agents carrying `policy`, built with
+/// the same hyper-parameters the controller would use.
+fn snapshot_with(
+    odrl: &OdRlConfig,
+    states: usize,
+    actions: usize,
+    cores: usize,
+    algorithm: Algorithm,
+    layout: QTableLayout,
+    policy: Policy,
+) -> PolicySnapshot {
+    let optimistic = 1.0 / (1.0 - odrl.gamma);
+    let mut bytes = rl_snapshot::header(KIND_POLICY_SET);
+    rl_snapshot::put_u64(&mut bytes, states as u64);
+    rl_snapshot::put_u64(&mut bytes, actions as u64);
+    rl_snapshot::put_u64(&mut bytes, cores as u64);
+    for _ in 0..cores {
+        if algorithm == Algorithm::DoubleQLearning {
+            rl_snapshot::put_u64(&mut bytes, u64::from(KIND_DOUBLE_AGENT));
+            DoubleAgent::builder(states, actions)
+                .gamma(odrl.gamma)
+                .alpha(odrl.alpha)
+                .policy(policy)
+                .layout(layout)
+                .optimistic(optimistic / 2.0)
+                .build()
+                .expect("valid agent")
+                .encode_block(&mut bytes);
+        } else {
+            rl_snapshot::put_u64(&mut bytes, u64::from(KIND_AGENT));
+            Agent::builder(states, actions)
+                .gamma(odrl.gamma)
+                .alpha(odrl.alpha)
+                .policy(policy)
+                .layout(layout)
+                .optimistic(optimistic)
+                .build()
+                .expect("valid agent")
+                .encode_block(&mut bytes);
+        }
+    }
+    PolicySnapshot::from_bytes(&bytes).expect("well-formed snapshot")
+}
+
+/// Runs one variant and folds summary, policy and telemetry into one hash.
+fn variant_hash(agents: Agents, par: Parallelism) -> u64 {
+    let config = SystemConfig::builder()
+        .cores(VARIANT_CORES)
+        .mix(MixPolicy::RoundRobin)
+        .seed(VARIANT_SEED)
+        .parallelism(par)
+        .build()
+        .expect("valid config");
+    let budget = Watts::new(0.55 * config.max_power().value());
+    let mut system = System::new(config).expect("valid system");
+    let (algorithm, layout) = match agents {
+        Agents::Config(alg, layout) | Agents::Imported(alg, layout, _) => (alg, layout),
+    };
+    let odrl = OdRlConfig {
+        algorithm,
+        layout,
+        parallelism: par,
+        seed: VARIANT_SEED,
+        ..OdRlConfig::default()
+    };
+    let mut ctrl = OdRlController::new(odrl.clone(), &system.spec(), budget).expect("valid config");
+    if let Agents::Imported(_, _, policy) = agents {
+        let fresh = ctrl.export_policy();
+        let snap = snapshot_with(
+            &odrl,
+            fresh.states(),
+            fresh.actions(),
+            fresh.num_agents(),
+            algorithm,
+            layout,
+            policy,
+        );
+        ctrl.import_policy(snap).expect("matching snapshot");
+    }
+    let mut recorder = RunRecorder::new("golden-variant");
+    let mut actions = vec![LevelId(0); system.num_cores()];
+    let mut obs = system.observation(budget);
+    for _ in 0..VARIANT_EPOCHS {
+        ctrl.decide_into(&obs, &mut actions);
+        let report = system.step_in_place(&actions).expect("valid actions");
+        recorder.record(
+            report.total_power,
+            budget,
+            report.total_instructions(),
+            report.dt,
+        );
+        system.observation_into(budget, &mut obs);
+    }
+    let mut canon = serde_json::to_string(&recorder.finish()).expect("serializable summary");
+    canon.push_str(&serde_json::to_string(&ctrl.export_policy()).expect("serializable policy"));
+    canon.push_str(&format!(
+        "{:016x}{:016x}",
+        system.telemetry().total_instructions().to_bits(),
+        system.telemetry().total_energy().value().to_bits()
+    ));
+    fnv1a(&canon)
+}
+
+fn check_variant(agents: Agents, golden: u64) {
+    for par in [Parallelism::Serial, Parallelism::Threads(4)] {
+        let got = variant_hash(agents, par);
+        assert_eq!(
+            got, golden,
+            "{agents:?} {par:?}: hash {got:#018x} drifted from the golden"
+        );
+    }
+}
+
+#[test]
+fn q_learning_scalar_matches_golden() {
+    check_variant(
+        Agents::Config(Algorithm::QLearning, QTableLayout::Scalar),
+        0xd23d_a1d4_758f_4887,
+    );
+}
+
+#[test]
+fn q_learning_quantized_matches_golden() {
+    check_variant(
+        Agents::Config(Algorithm::QLearning, QTableLayout::Quantized),
+        0x8173_9500_21cd_edda,
+    );
+}
+
+#[test]
+fn sarsa_scalar_matches_golden() {
+    check_variant(
+        Agents::Config(Algorithm::Sarsa, QTableLayout::Scalar),
+        0x6b4a_152f_d3ce_61b0,
+    );
+}
+
+#[test]
+fn sarsa_quantized_matches_golden() {
+    check_variant(
+        Agents::Config(Algorithm::Sarsa, QTableLayout::Quantized),
+        0x4175_5f6b_4235_0b60,
+    );
+}
+
+#[test]
+fn double_q_scalar_matches_golden() {
+    check_variant(
+        Agents::Config(Algorithm::DoubleQLearning, QTableLayout::Scalar),
+        0x6b15_34bb_24b1_9434,
+    );
+}
+
+#[test]
+fn double_q_quantized_matches_golden() {
+    check_variant(
+        Agents::Config(Algorithm::DoubleQLearning, QTableLayout::Quantized),
+        0x6c37_67c6_d003_aa1c,
+    );
+}
+
+#[test]
+fn imported_softmax_policy_matches_golden() {
+    let softmax = Policy::Softmax {
+        temperature: Schedule::constant(0.5).expect("valid schedule"),
+    };
+    check_variant(
+        Agents::Imported(Algorithm::QLearning, QTableLayout::Quantized, softmax),
+        0x3db6_d2c1_951e_d08c,
+    );
+}
+
+#[test]
+fn imported_ucb1_policy_matches_golden() {
+    check_variant(
+        Agents::Imported(
+            Algorithm::Sarsa,
+            QTableLayout::Scalar,
+            Policy::Ucb1 { c: 0.5 },
+        ),
+        0x1a67_014b_8ca6_317c,
+    );
+}
+
+#[test]
+fn imported_greedy_policy_matches_golden() {
+    check_variant(
+        Agents::Imported(
+            Algorithm::QLearning,
+            QTableLayout::Quantized,
+            Policy::Greedy,
+        ),
+        0xf87a_50f3_f884_35a3,
+    );
+}
+
+#[test]
+fn imported_double_q_softmax_policy_matches_golden() {
+    let softmax = Policy::Softmax {
+        temperature: Schedule::constant(0.5).expect("valid schedule"),
+    };
+    check_variant(
+        Agents::Imported(Algorithm::DoubleQLearning, QTableLayout::Quantized, softmax),
+        0x2c93_0d98_ac10_c8a3,
+    );
 }
