@@ -197,11 +197,10 @@ fn quantized_steady_state_allocates_nothing() {
 #[test]
 fn quantized_fleet_steady_state_allocates_nothing() {
     // Fleet-scope arm of the quantized gate: four chips on the banked
-    // fixed-point layout under the rack arbiter. When the `simd` feature is
-    // on, this is the arm that proves the SIMD decide path *and* the
-    // batched per-shard ε-draw refill (the `eps_draws` block the controller
-    // fills from each core's own stream) stay allocation-free — the draw
-    // buffer is sized at build time and refilled in place.
+    // fixed-point layout under the rack arbiter. Proves the block scan
+    // *and* the batched per-shard ε-draw refill (the `eps_draws` block the
+    // controller fills from each core's own stream) stay allocation-free —
+    // the draw buffer is sized at build time and refilled in place.
     let scenario = Scenario {
         cores: 16,
         budget_frac: 0.6,
@@ -459,5 +458,93 @@ fn steady_state_fleet_stepping_allocates_nothing() {
     assert_eq!(
         da, 0,
         "steady-state fleet stepping allocated {da} times ({db} bytes) over 50 epochs"
+    );
+}
+
+/// Drives a chip closed loop through a 30-epoch warmup and a 50-epoch
+/// measured window, returning the caller thread's allocations in the
+/// window.
+fn chip_window_allocations(run: ChipRun) -> u64 {
+    let ChipRun {
+        mut system,
+        mut controller,
+        budget,
+    } = run;
+    let mut actions = vec![LevelId(0); system.num_cores()];
+    let mut obs = system.observation(budget);
+    for _ in 0..30 {
+        controller.decide_into(&obs, &mut actions);
+        system.step_in_place(&actions).expect("valid actions");
+        system.observation_into(budget, &mut obs);
+    }
+    let a0 = allocs::allocations();
+    for _ in 0..50 {
+        controller.decide_into(&obs, &mut actions);
+        system.step_in_place(&actions).expect("valid actions");
+        system.observation_into(budget, &mut obs);
+    }
+    allocs::allocations() - a0
+}
+
+#[test]
+fn two_shard_chip_steady_state_allocates_nothing() {
+    // Sharded arm of the chip gate: the system passes and the RL block
+    // pipeline both split two ways through `shard_chunks`, whose chunk
+    // slots must live on the stack. The counters are per thread, so this
+    // measures the calling thread — the one that builds and hands out the
+    // shard slots.
+    for layout in [QTableLayout::Scalar, QTableLayout::Quantized] {
+        let scenario = Scenario {
+            cores: 64,
+            budget_frac: 0.6,
+            epochs: 0,
+            mix: MixPolicy::RoundRobin,
+            seed: 42,
+            parallelism: Parallelism::Threads(2),
+        };
+        let run = RunBuilder::new(scenario)
+            .odrl(OdRlConfig {
+                layout,
+                ..OdRlConfig::default()
+            })
+            .build_chip()
+            .expect("valid two-shard configuration");
+        let da = chip_window_allocations(run);
+        assert_eq!(
+            da, 0,
+            "{layout:?}: two-shard steady-state epochs allocated {da} times over 50 epochs"
+        );
+    }
+}
+
+#[test]
+fn two_shard_fleet_steady_state_allocates_nothing() {
+    // Fleet arm of the sharded gate: four chips stepped two chips per
+    // shard, with the rack arbiter crossing rounds inside the window.
+    let scenario = Scenario {
+        cores: 16,
+        budget_frac: 0.6,
+        epochs: 0,
+        mix: MixPolicy::RoundRobin,
+        seed: 42,
+        parallelism: Parallelism::Serial,
+    };
+    let mut fleet = RunBuilder::new(scenario)
+        .controller(ControllerKind::OdRl)
+        .fleet_parallelism(Parallelism::Threads(2))
+        .arbiter_period(25)
+        .build_fleet(4)
+        .expect("valid two-shard fleet configuration");
+    for _ in 0..45 {
+        fleet.step_epoch().expect("fleet epoch completes");
+    }
+    let a0 = allocs::allocations();
+    for _ in 0..50 {
+        fleet.step_epoch().expect("fleet epoch completes");
+    }
+    let da = allocs::allocations() - a0;
+    assert_eq!(
+        da, 0,
+        "two-shard fleet steady-state epochs allocated {da} times over 50 epochs"
     );
 }

@@ -63,6 +63,10 @@ impl BudgetAllocator {
         for (i, core) in obs.cores.iter().enumerate() {
             let p = core.power.value();
             let ips = core.ips;
+            // A non-finite reading is sensor garbage, not a data point.
+            if !(p.is_finite() && ips.is_finite()) {
+                continue;
+            }
             self.max_power_seen[i] = (self.max_power_seen[i] * 0.999).max(p);
             if let Some((last_ips, last_p)) = self.last_point[i] {
                 let dp = p - last_p;
@@ -137,11 +141,16 @@ impl BudgetAllocator {
         // Demand: recent power with headroom, at least the floor.
         let demands = &mut scratch.demands;
         demands.clear();
-        demands.extend(
-            obs.cores
-                .iter()
-                .map(|c| (c.power.value() * self.headroom).max(floor)),
-        );
+        // A non-finite reading demands the floor (`max` drops a NaN; an
+        // infinite demand would swamp every other core's share).
+        demands.extend(obs.cores.iter().map(|c| {
+            let p = c.power.value();
+            if p.is_finite() {
+                (p * self.headroom).max(floor)
+            } else {
+                floor
+            }
+        }));
         let total_demand: f64 = demands.iter().sum();
 
         let targets = &mut scratch.targets;

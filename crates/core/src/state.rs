@@ -88,23 +88,7 @@ impl StateEncoder {
     /// controller maintains the decaying maximum. Non-finite values saturate
     /// into the top bin (an unknown ceiling reads as "rich").
     pub fn encode(&self, core: &CoreObservation, affordability: f64) -> usize {
-        let a = if affordability.is_finite() {
-            affordability
-        } else {
-            f64::MAX
-        };
-        let ab = self.afford.bin(a);
-        let mb = self.mem.bin(core.memory_boundedness());
-        if self.include_level {
-            let lv = core.level.index().min(self.levels - 1);
-            self.space
-                .index(&[ab, mb, lv])
-                .expect("bins are in range by construction")
-        } else {
-            self.space
-                .index(&[ab, mb])
-                .expect("bins are in range by construction")
-        }
+        self.encode_with_mem(core, affordability).0
     }
 
     /// [`encode`](Self::encode) that also hands back the

@@ -11,7 +11,8 @@
 //! * **stale sensors** — a per-core reading that repeats bit-exactly, or
 //!   reads zero while the core retires instructions, for
 //!   [`WatchdogConfig::stale_epochs`] consecutive epochs is declared
-//!   stale. The controller substitutes the last *good* reading and widens
+//!   stale; a non-finite power or IPS reading is stale at once. The
+//!   controller substitutes the last *good* reading and widens
 //!   the core's safety margin (shrinks its effective budget by
 //!   [`WatchdogConfig::margin`]) until the sensor heals.
 //! * **dead cores** — zero power *and* zero IPS for
@@ -185,7 +186,11 @@ impl SensorWatchdog {
             // epochs so quantised coincidences do not trip the flag.
             let repeated = self.has_last[i] && p == self.last_power[i];
             let zero_while_running = p == 0.0 && ips > 0.0;
-            if repeated || zero_while_running {
+            if !(p.is_finite() && ips.is_finite()) {
+                // No sensor can really read ±∞ or NaN: the reading is
+                // stale at once, and the last good one stays held.
+                self.suspect[i] = self.suspect[i].max(self.config.stale_epochs);
+            } else if repeated || zero_while_running {
                 self.suspect[i] = self.suspect[i].saturating_add(1);
             } else {
                 self.suspect[i] = 0;
@@ -269,6 +274,26 @@ mod tests {
                 .collect(),
             total_power: Watts::new(total),
         }
+    }
+
+    #[test]
+    fn non_finite_reading_is_stale_at_once_and_holds_the_last_good() {
+        let mut wd = SensorWatchdog::new(WatchdogConfig::enabled(), 2);
+        wd.observe(&obs(&[(1.0, 1e9), (1.5, 1e9)], 2.5));
+        for bad in [
+            (f64::INFINITY, 1e9),
+            (f64::NAN, 1e9),
+            (1.2, f64::NEG_INFINITY),
+        ] {
+            wd.observe(&obs(&[bad, (1.6, 1e9)], 2.8));
+            assert!(wd.is_stale(0), "{bad:?}");
+            assert!(!wd.is_stale(1));
+            assert_eq!(wd.held_power(0), Watts::new(1.0));
+        }
+        // The next healthy reading clears the flag and is held.
+        wd.observe(&obs(&[(1.1, 1e9), (1.7, 1e9)], 2.8));
+        assert!(!wd.is_stale(0));
+        assert_eq!(wd.held_power(0), Watts::new(1.1));
     }
 
     #[test]

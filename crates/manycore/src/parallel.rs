@@ -193,16 +193,22 @@ impl_shard_split_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6);
 impl_shard_split_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7);
 impl_shard_split_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8);
 
+/// Chunks [`shard_chunks`] hands to the pool per job: the capacity of its
+/// inline (stack) slot array. More shards than this run in successive
+/// jobs of up to this many, with unchanged chunk boundaries.
+const SHARD_SLOTS: usize = 64;
+
 /// Runs `f(base_index, chunk)` over contiguous chunks of `state`, sharded
 /// across pool workers.
 ///
 /// This is the zero-collection counterpart of [`zip_map_sharded`]: the
 /// caller's closure writes its results directly into the mutable chunk it
-/// receives, so the serial path ([`Parallelism::Serial`] or a single shard)
-/// performs **no heap allocation at all** — it is exactly `f(0, state)`.
-/// Chunk boundaries match the other sharded helpers (`ceil(n / shards)`
-/// items per chunk), and per-item work must not depend on any other item's
-/// evaluation, so results are bit-identical for every shard count.
+/// receives, and the chunks travel to the workers through a fixed-capacity
+/// slot array on the stack, so no path — serial or sharded — touches the
+/// heap. Chunk boundaries match the other sharded helpers
+/// (`ceil(n / shards)` items per chunk), and per-item work must not depend
+/// on any other item's evaluation, so results are bit-identical for every
+/// shard count.
 pub fn shard_chunks<S, F>(par: Parallelism, state: S, f: F)
 where
     S: ShardSplit + Send,
@@ -215,27 +221,33 @@ where
         return;
     }
     let chunk = n.div_ceil(shards);
-    let mut work: Vec<Mutex<Option<(usize, S)>>> = Vec::with_capacity(shards);
     let mut base = 0usize;
     let mut rest = Some(state);
-    while let Some(s) = rest.take() {
-        if s.shard_len() > chunk {
-            let (head, tail) = s.split_at_mut(chunk);
-            work.push(Mutex::new(Some((base, head))));
-            base += chunk;
-            rest = Some(tail);
-        } else {
-            work.push(Mutex::new(Some((base, s))));
+    while rest.is_some() {
+        let mut items: [Option<(usize, S)>; SHARD_SLOTS] = std::array::from_fn(|_| None);
+        let mut used = 0;
+        while used < SHARD_SLOTS {
+            let Some(s) = rest.take() else { break };
+            if s.shard_len() > chunk {
+                let (head, tail) = s.split_at_mut(chunk);
+                items[used] = Some((base, head));
+                base += chunk;
+                rest = Some(tail);
+            } else {
+                items[used] = Some((base, s));
+            }
+            used += 1;
         }
+        let slots = items.map(Mutex::new);
+        pool::global().run_shards(used, &|k| {
+            let (b, chunk_state) = slots[k]
+                .lock()
+                .expect("work slot poisoned")
+                .take()
+                .expect("each chunk is taken exactly once");
+            f(b, chunk_state);
+        });
     }
-    pool::global().run_shards(work.len(), &|k| {
-        let (b, chunk_state) = work[k]
-            .lock()
-            .expect("work slot poisoned")
-            .take()
-            .expect("each chunk is taken exactly once");
-        f(b, chunk_state);
-    });
 }
 
 /// Maps `f` over three zipped mutable slices, sharded across pool workers,
@@ -529,9 +541,12 @@ mod tests {
             Parallelism::Serial,
             Parallelism::Threads(3),
             Parallelism::Threads(8),
+            // More shards than one job's slot array holds.
+            Parallelism::Threads(SHARD_SLOTS + 5),
         ] {
-            let mut a = vec![0u64; 37];
-            let mut b = vec![0u64; 37];
+            let n = 2 * SHARD_SLOTS + 7;
+            let mut a = vec![0u64; n];
+            let mut b = vec![0u64; n];
             shard_chunks(par, (&mut a[..], &mut b[..]), |base, (ca, cb)| {
                 for j in 0..ca.len() {
                     ca[j] += 1;
@@ -539,7 +554,7 @@ mod tests {
                 }
             });
             assert!(a.iter().all(|&v| v == 1), "every item visited once");
-            assert_eq!(b, (0..37).map(|i| i as u64).collect::<Vec<_>>());
+            assert_eq!(b, (0..n).map(|i| i as u64).collect::<Vec<_>>());
         }
     }
 
@@ -597,7 +612,10 @@ mod tests {
                 }
             });
         }));
-        assert!(caught.is_err(), "worker panics must propagate to the caller");
+        assert!(
+            caught.is_err(),
+            "worker panics must propagate to the caller"
+        );
         // The pool stays usable after a panicking job.
         let done = AtomicUsize::new(0);
         pool.run_shards(3, &|_| {

@@ -15,9 +15,8 @@
 //! results: the *lowest* index attaining the row maximum, exactly like the
 //! scalar select chain in `QuantizedTable::best_action_and_max`.
 //!
-//! The module is always compiled (so equivalence tests can compare paths in
-//! any build); the `simd` cargo feature only controls whether the hot
-//! decide/learn paths *route* through it.
+//! Every quantized row scan in the crate routes through it: the storage
+//! argmax, the double-Q per-table scan and the controller's block scan.
 
 use crate::storage::QUANT_LANES;
 

@@ -251,15 +251,13 @@ impl QuantizedTable {
     }
 
     /// The padded lane row of state `s` (panics on out-of-range states
-    /// like any slice access). Used by the SIMD-routed double-Q scan.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
+    /// like any slice access). Used by the double-Q kernel scan.
     #[inline]
     pub(crate) fn lanes(&self, s: usize) -> &[i16] {
         &self.bank[s * self.stride..(s + 1) * self.stride]
     }
 
     /// Row scale as `f64` without the bounds-checked `Result` wrapper.
-    #[cfg_attr(not(feature = "simd"), allow(dead_code))]
     #[inline]
     pub(crate) fn scale_at(&self, s: usize) -> f64 {
         f64::from(self.scales[s])
@@ -354,7 +352,7 @@ impl QuantizedTable {
     pub fn best_action_and_max(&self, s: usize) -> Result<(usize, f64), RlError> {
         self.check_state(s)?;
         let row = &self.bank[s * self.stride..(s + 1) * self.stride];
-        let (best, best_q) = Self::scan(row);
+        let (best, best_q) = crate::kernel::scan_row(row);
         Ok((best, f64::from(best_q) * f64::from(self.scales[s])))
     }
 
@@ -373,32 +371,6 @@ impl QuantizedTable {
             &self.bank[s * self.stride..(s + 1) * self.stride],
             self.scales[s],
         ))
-    }
-
-    /// Row scan with the `simd` feature on: the explicit kernel (runtime
-    /// AVX2/SSE2 dispatch on x86_64, chunked autovec elsewhere).
-    #[cfg(feature = "simd")]
-    #[inline]
-    fn scan(row: &[i16]) -> (usize, i16) {
-        crate::kernel::scan_row(row)
-    }
-
-    /// Row scan with the `simd` feature off: the original branchless
-    /// select chain, kept byte-for-byte so earlier bench entries stay a
-    /// fair baseline.
-    #[cfg(not(feature = "simd"))]
-    #[inline]
-    fn scan(row: &[i16]) -> (usize, i16) {
-        let mut best = 0usize;
-        let mut best_q = row[0];
-        // Branchless scan over the whole padded row: padding lanes hold
-        // i16::MIN, which no real lane (clamped to ±i16::MAX) can lose to.
-        for (a, &q) in row.iter().enumerate().skip(1) {
-            let better = q > best_q;
-            best = if better { a } else { best };
-            best_q = if better { q } else { best_q };
-        }
-        (best, best_q)
     }
 
     /// Fused TD update: one bounds check covers the visit bump, the
@@ -815,37 +787,6 @@ impl QTableStorage {
         }
     }
 
-    /// Hints the prefetcher at the storage behind state `s`'s row, so a
-    /// decide loop can pull the *next* agent's row toward L1 while the
-    /// current agent's scan retires. No-op on non-x86_64 targets and for
-    /// out-of-range states.
-    #[inline]
-    pub fn prefetch_row(&self, s: usize) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            let ptr = match self {
-                Self::Scalar(t) => match t.row(s) {
-                    Ok(row) => row.as_ptr().cast::<i8>(),
-                    Err(_) => return,
-                },
-                Self::Quantized(t) => {
-                    if s >= t.states {
-                        return;
-                    }
-                    t.bank[s * t.stride..].as_ptr().cast::<i8>()
-                }
-            };
-            // SAFETY: prefetch is a hint; the pointer derives from a live
-            // in-bounds slice and is never dereferenced architecturally.
-            unsafe { _mm_prefetch::<_MM_HINT_T0>(ptr) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let _ = s;
-        }
-    }
-
     /// Hints the prefetcher at everything a greedy row scan of state `s`
     /// will read: the banked row *and* its dequantization scale, which
     /// live in separate allocations and therefore miss separately. Used
@@ -1022,8 +963,10 @@ mod tests {
             let row = st.row_values(1).unwrap();
             assert_eq!(row.len(), 3);
             assert!((row[0] - 2.0).abs() < 1e-3);
-            st.prefetch_row(0);
-            st.prefetch_row(99); // out of range: a silent no-op
+            st.prefetch_select(0);
+            st.prefetch_select(99); // out of range: a silent no-op
+            st.prefetch_update(0, 1);
+            st.prefetch_update(0, 99);
             assert!(st.get(5, 0).is_err());
             assert!(st.set(0, 5, 1.0).is_err());
         }
@@ -1057,8 +1000,8 @@ mod tests {
         let stats = q.row_stats(0).unwrap();
         assert!((stats.q_min - -2.0).abs() < 1e-3);
         assert_eq!(stats.q_max, 0.0); // padding (i16::MIN) must not leak in
-        // Force doublings on row 1: growth stops once the value fits with
-        // half-range headroom (|q| ≤ 2^14), so 20.0 needs scale × 16.
+                                      // Force doublings on row 1: growth stops once the value fits with
+                                      // half-range headroom (|q| ≤ 2^14), so 20.0 needs scale × 16.
         q.set(1, 0, 20.0).unwrap();
         let health = q.quant_health();
         assert_eq!(health.doublings, 4);

@@ -8,10 +8,10 @@
 //! the actions; both apply the same `(s, a, r, s')` updates), so every
 //! divergence measured here is quantization error and nothing else.
 
-use odrl_rl::kernel::{scan_row, scan_row_portable};
+use odrl_rl::kernel::{self, scan_row, scan_row_portable};
 use odrl_rl::{
-    Agent, DoubleAgent, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_AGENT, QUANT_LANES,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    Agent, Algorithm, DoubleAgent, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_AGENT,
+    QUANT_LANES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -150,7 +150,10 @@ fn snapshot_rejects_corruption() {
     // Bad magic.
     let mut bad = good.clone();
     bad[0] ^= 0xFF;
-    assert!(Agent::from_snapshot_bytes(&bad).is_err(), "bad magic must be rejected");
+    assert!(
+        Agent::from_snapshot_bytes(&bad).is_err(),
+        "bad magic must be rejected"
+    );
 
     // Version from the future.
     let mut bad = good.clone();
@@ -226,7 +229,9 @@ fn simd_scan_matches_scalar_argmax_at_every_bank_remainder() {
     // two banks.
     let mut state = 0x2545_F491_4F6C_DD1Du64;
     let mut next = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         // Map into the real-lane range [-i16::MAX, i16::MAX].
         (((state >> 33) as i32 % i32::from(i16::MAX)) as i16).max(-i16::MAX)
     };
@@ -353,30 +358,49 @@ fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
     h
 }
 
-/// Drives `epochs` decide/learn rounds through either the unbatched
-/// (`prepared = false`) or batched-draw (`prepared = true`) entry points
-/// and returns the FNV-1a hash of the full (action, explored) stream.
-fn decision_stream_hash(layout: QTableLayout, sarsa: bool, prepared: bool) -> u64 {
+/// How [`decision_stream_hash`] feeds `Agent::decide`.
+#[derive(Clone, Copy)]
+enum Batching {
+    /// The agent scans its row and draws its own ε uniform.
+    None,
+    /// The controller's ε batching: one `next_u64` pre-drawn from this
+    /// agent's own stream, handed back as the leading ε draw.
+    Draw,
+    /// ε batching plus the block scan: the quantized row goes through a
+    /// one-row `kernel::scan_rows` batch and the result is fed back.
+    DrawAndScan,
+}
+
+/// Drives 800 decide/learn rounds through `Agent::decide` with the given
+/// batching and returns the FNV-1a hash of the full (action, explored)
+/// stream.
+fn decision_stream_hash(layout: QTableLayout, sarsa: bool, batching: Batching) -> u64 {
+    let algorithm = if sarsa {
+        Algorithm::Sarsa
+    } else {
+        Algorithm::QLearning
+    };
     let mut agent = build(layout);
     let mut rng = StdRng::seed_from_u64(23);
     let mut cache = EpsCache::new();
     let mut s = 0usize;
     let mut bytes = Vec::new();
     for t in 0..800 {
-        let (a, explored, bootstrap) = if prepared {
-            // The controller's batching: one `next_u64` pre-drawn from this
-            // agent's own stream, handed back as the leading ε draw.
-            let draw = rng.next_u64();
-            if sarsa {
-                agent.decide_sarsa_prepared(s, draw, &mut rng, &mut cache).unwrap()
-            } else {
-                agent.decide_q_prepared(s, draw, &mut rng, &mut cache).unwrap()
-            }
-        } else if sarsa {
-            agent.decide_sarsa_explored(s, &mut rng, &mut cache).unwrap()
-        } else {
-            agent.decide_q_explored(s, &mut rng, &mut cache).unwrap()
+        let draw = match batching {
+            Batching::None => None,
+            Batching::Draw | Batching::DrawAndScan => Some(rng.next_u64()),
         };
+        let scan = match (batching, agent.quant_row(s)) {
+            (Batching::DrawAndScan, Some(row)) => {
+                let mut out = [(0u16, 0f64)];
+                kernel::scan_rows(&[row], &mut out);
+                Some((usize::from(out[0].0), out[0].1))
+            }
+            _ => None,
+        };
+        let (a, explored, bootstrap) = agent
+            .decide(algorithm, s, scan, draw, &mut rng, &mut cache)
+            .unwrap();
         let (s_next, r) = env(s, a, t);
         agent.learn(s, a, r, bootstrap).unwrap();
         bytes.push(a as u8);
@@ -396,15 +420,19 @@ fn batched_epsilon_stream_is_bit_identical_and_pinned() {
     const GOLDEN_Q: u64 = 12652406293724573599;
     const GOLDEN_SARSA: u64 = 7514869419901196477;
     for layout in [QTableLayout::Scalar, QTableLayout::Quantized] {
-        let q_plain = decision_stream_hash(layout, false, false);
-        let q_prep = decision_stream_hash(layout, false, true);
-        assert_eq!(q_plain, q_prep, "{layout:?}: batched Q stream diverged");
-        let s_plain = decision_stream_hash(layout, true, false);
-        let s_prep = decision_stream_hash(layout, true, true);
-        assert_eq!(s_plain, s_prep, "{layout:?}: batched SARSA stream diverged");
-        if layout == QTableLayout::Scalar {
-            assert_eq!(q_plain, GOLDEN_Q, "Q decision stream drifted from golden");
-            assert_eq!(s_plain, GOLDEN_SARSA, "SARSA decision stream drifted");
+        for sarsa in [false, true] {
+            let plain = decision_stream_hash(layout, sarsa, Batching::None);
+            for batching in [Batching::Draw, Batching::DrawAndScan] {
+                assert_eq!(
+                    decision_stream_hash(layout, sarsa, batching),
+                    plain,
+                    "{layout:?} sarsa={sarsa}: batched decision stream diverged"
+                );
+            }
+            if layout == QTableLayout::Scalar {
+                let golden = if sarsa { GOLDEN_SARSA } else { GOLDEN_Q };
+                assert_eq!(plain, golden, "sarsa={sarsa}: decision stream drifted");
+            }
         }
     }
 }
