@@ -755,8 +755,8 @@ impl RlPass<'_> {
     /// Core j's decide completes before its learn, cores touch only their
     /// own tables and reward rows, and blocks run in core order, so every
     /// per-core value and trace record is independent of the tiling and
-    /// of the shard count. Per-block clock reads (~1 ns/core) keep the
-    /// decide/learn split honest.
+    /// of the shard count. Two clock reads per block (under 1 ns/core)
+    /// keep the decide/learn split honest.
     fn run_shard(&self, base: usize, shard: RlShard<'_>) {
         let (agents, rngs, mut rows, dec, valid, boots, draws, mem_phase, rl_ns) = shard;
         let len = agents.len();
@@ -780,9 +780,9 @@ impl RlPass<'_> {
         let (mut decide_ns, mut learn_ns) = (0u64, 0u64);
         self.prefetch_updates(agents, base, 0, BLOCK.min(len));
         let mut blk = 0usize;
+        let mut t0 = Instant::now();
         while blk < len {
             let end = (blk + BLOCK).min(len);
-            let t0 = Instant::now();
             for j in blk..end {
                 let (s, mb) = self.encode(base + j);
                 dec[j].0 = s;
@@ -885,7 +885,9 @@ impl RlPass<'_> {
                     }
                 }
             }
-            learn_ns += t1.elapsed().as_nanos() as u64;
+            let t2 = Instant::now();
+            learn_ns += t2.duration_since(t1).as_nanos() as u64;
+            t0 = t2;
             blk = end;
         }
         rl_ns[0] = [decide_ns, learn_ns];

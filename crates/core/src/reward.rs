@@ -79,24 +79,8 @@ impl RewardShaper {
         .reward(phase, ips, power, local_budget)
     }
 
-    /// Splits the shaper into independent per-core views (one row each), so
-    /// a sharded decide loop can reward every core concurrently. Rows are
-    /// returned in core order and borrow disjoint slices of the state.
-    pub fn rows_mut(&mut self) -> Vec<RewardRow<'_>> {
-        let (lambda, decay) = (self.lambda, self.decay);
-        self.refs
-            .chunks_mut(self.phases)
-            .map(|refs| RewardRow {
-                lambda,
-                decay,
-                refs,
-            })
-            .collect()
-    }
-
-    /// Borrows the whole shaper as a contiguous [`RewardRows`] view — the
-    /// allocation-free counterpart of [`RewardShaper::rows_mut`]. The view
-    /// implements [`ShardSplit`], so a sharded decide loop can split it at
+    /// Borrows the whole shaper as a contiguous [`RewardRows`] view. The
+    /// view implements [`ShardSplit`], so a sharded decide loop can split it at
     /// core boundaries and reward disjoint core ranges concurrently.
     pub fn rows_view(&mut self) -> RewardRows<'_> {
         RewardRows {

@@ -76,12 +76,6 @@ impl StateEncoder {
         self.mem.len()
     }
 
-    /// The memory-boundedness bin of an observation (used to condition the
-    /// reward normalizer on the workload phase class).
-    pub fn mem_bin(&self, core: &CoreObservation) -> usize {
-        self.mem.bin(core.memory_boundedness())
-    }
-
     /// Encodes one core's observation.
     ///
     /// `affordability` is `local_budget / max observed core power`; the
@@ -92,10 +86,9 @@ impl StateEncoder {
     }
 
     /// [`encode`](Self::encode) that also hands back the
-    /// memory-boundedness bin it computed along the way — the same value
-    /// [`mem_bin`](Self::mem_bin) would return for this observation, so a
-    /// decide pass can cache it for the learn pass instead of re-deriving
-    /// it (two extra divisions per core).
+    /// memory-boundedness bin it computed along the way (the reward
+    /// normalizer's phase class), so a decide pass can cache it for the
+    /// learn pass instead of re-deriving it.
     pub fn encode_with_mem(&self, core: &CoreObservation, affordability: f64) -> (usize, usize) {
         let a = if affordability.is_finite() {
             affordability
@@ -104,17 +97,15 @@ impl StateEncoder {
         };
         let ab = self.afford.bin(a);
         let mb = self.mem.bin(core.memory_boundedness());
-        let s = if self.include_level {
+        // Row-major over (afford, mem[, level]) like `StateSpace::index`;
+        // every bin is in range by construction.
+        let s = ab * self.mem.len() + mb;
+        if self.include_level {
             let lv = core.level.index().min(self.levels - 1);
-            self.space
-                .index(&[ab, mb, lv])
-                .expect("bins are in range by construction")
+            (s * self.levels + lv, mb)
         } else {
-            self.space
-                .index(&[ab, mb])
-                .expect("bins are in range by construction")
-        };
-        (s, mb)
+            (s, mb)
+        }
     }
 }
 
@@ -182,7 +173,10 @@ mod tests {
         let compute = e.encode(&core(0.1, 3), 1.0);
         let memory = e.encode(&core(30.0, 3), 1.0);
         assert_ne!(compute, memory);
-        assert_ne!(e.mem_bin(&core(0.1, 3)), e.mem_bin(&core(30.0, 3)));
+        assert_ne!(
+            e.encode_with_mem(&core(0.1, 3), 1.0).1,
+            e.encode_with_mem(&core(30.0, 3), 1.0).1
+        );
     }
 
     #[test]

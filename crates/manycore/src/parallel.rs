@@ -9,8 +9,8 @@
 //! execution order — the output is **bit-identical** for any shard count,
 //! including [`Parallelism::Serial`].
 //!
-//! Shards are contiguous core ranges and results are concatenated in shard
-//! order. Execution uses a small persistent worker pool built on
+//! Shards are contiguous core ranges, each written in place by one
+//! thread. Execution uses a small persistent worker pool built on
 //! `std::thread` + `Mutex`/`Condvar` only (no external dependencies): an
 //! epoch's work (tens of microseconds) is far cheaper than spawning even one
 //! OS thread, so per-call `thread::scope` spawning would make every sharded
@@ -73,75 +73,6 @@ pub fn stream_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Maps `f` over `0..n`, sharded across pool workers, collecting results
-/// in index order. `f(i)` must not depend on any other index's evaluation.
-pub fn map_sharded<R, F>(par: Parallelism, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let shards = par.shards(n);
-    if shards <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let chunk = n.div_ceil(shards);
-    let slots: Vec<Mutex<Vec<R>>> = (0..shards).map(|_| Mutex::new(Vec::new())).collect();
-    pool::global().run_shards(shards, &|k| {
-        let lo = k * chunk;
-        let hi = (lo + chunk).min(n);
-        *slots[k].lock().expect("result slot poisoned") = (lo..hi).map(&f).collect();
-    });
-    slots
-        .into_iter()
-        .flat_map(|m| m.into_inner().expect("result slot poisoned"))
-        .collect()
-}
-
-/// Maps `f` over two zipped mutable slices, sharded across pool workers,
-/// collecting results in index order. Each index's items are visited by
-/// exactly one thread; `f(i, a, b)` must not depend on evaluation order.
-pub fn zip_map_sharded<A, B, R, F>(par: Parallelism, a: &mut [A], b: &mut [B], f: F) -> Vec<R>
-where
-    A: Send,
-    B: Send,
-    R: Send,
-    F: Fn(usize, &mut A, &mut B) -> R + Sync,
-{
-    let n = a.len();
-    assert_eq!(n, b.len(), "zipped slices must have equal length");
-    let shards = par.shards(n);
-    if shards <= 1 {
-        return a
-            .iter_mut()
-            .zip(b.iter_mut())
-            .enumerate()
-            .map(|(i, (x, y))| f(i, x, y))
-            .collect();
-    }
-    let chunk = n.div_ceil(shards);
-    let work: Vec<Mutex<(&mut [A], &mut [B])>> = a
-        .chunks_mut(chunk)
-        .zip(b.chunks_mut(chunk))
-        .map(|(ca, cb)| Mutex::new((ca, cb)))
-        .collect();
-    let slots: Vec<Mutex<Vec<R>>> = (0..work.len()).map(|_| Mutex::new(Vec::new())).collect();
-    pool::global().run_shards(work.len(), &|k| {
-        let mut w = work[k].lock().expect("work slot poisoned");
-        let (ca, cb) = &mut *w;
-        let base = k * chunk;
-        *slots[k].lock().expect("result slot poisoned") = ca
-            .iter_mut()
-            .zip(cb.iter_mut())
-            .enumerate()
-            .map(|(j, (x, y))| f(base + j, x, y))
-            .collect();
-    });
-    slots
-        .into_iter()
-        .flat_map(|m| m.into_inner().expect("result slot poisoned"))
-        .collect()
-}
-
 /// Per-core state that can be split into contiguous shard chunks for
 /// in-place sharded mutation (see [`shard_chunks`]).
 ///
@@ -201,14 +132,12 @@ const SHARD_SLOTS: usize = 64;
 /// Runs `f(base_index, chunk)` over contiguous chunks of `state`, sharded
 /// across pool workers.
 ///
-/// This is the zero-collection counterpart of [`zip_map_sharded`]: the
-/// caller's closure writes its results directly into the mutable chunk it
-/// receives, and the chunks travel to the workers through a fixed-capacity
-/// slot array on the stack, so no path — serial or sharded — touches the
-/// heap. Chunk boundaries match the other sharded helpers
-/// (`ceil(n / shards)` items per chunk), and per-item work must not depend
-/// on any other item's evaluation, so results are bit-identical for every
-/// shard count.
+/// The caller's closure writes its results directly into the mutable
+/// chunk it receives (nothing is collected), and the chunks travel to the
+/// workers through a fixed-capacity slot array on the stack, so no path —
+/// serial or sharded — touches the heap. Chunks hold `ceil(n / shards)`
+/// items each, and per-item work must not depend on any other item's
+/// evaluation, so results are bit-identical for every shard count.
 pub fn shard_chunks<S, F>(par: Parallelism, state: S, f: F)
 where
     S: ShardSplit + Send,
@@ -248,65 +177,6 @@ where
             f(b, chunk_state);
         });
     }
-}
-
-/// Maps `f` over three zipped mutable slices, sharded across pool workers,
-/// collecting results in index order. Same contract as
-/// [`zip_map_sharded`].
-pub fn zip3_map_sharded<A, B, C, R, F>(
-    par: Parallelism,
-    a: &mut [A],
-    b: &mut [B],
-    c: &mut [C],
-    f: F,
-) -> Vec<R>
-where
-    A: Send,
-    B: Send,
-    C: Send,
-    R: Send,
-    F: Fn(usize, &mut A, &mut B, &mut C) -> R + Sync,
-{
-    let n = a.len();
-    assert!(
-        n == b.len() && n == c.len(),
-        "zipped slices must have equal length"
-    );
-    let shards = par.shards(n);
-    if shards <= 1 {
-        return a
-            .iter_mut()
-            .zip(b.iter_mut())
-            .zip(c.iter_mut())
-            .enumerate()
-            .map(|(i, ((x, y), z))| f(i, x, y, z))
-            .collect();
-    }
-    let chunk = n.div_ceil(shards);
-    #[allow(clippy::type_complexity)]
-    let work: Vec<Mutex<(&mut [A], &mut [B], &mut [C])>> = a
-        .chunks_mut(chunk)
-        .zip(b.chunks_mut(chunk))
-        .zip(c.chunks_mut(chunk))
-        .map(|((ca, cb), cc)| Mutex::new((ca, cb, cc)))
-        .collect();
-    let slots: Vec<Mutex<Vec<R>>> = (0..work.len()).map(|_| Mutex::new(Vec::new())).collect();
-    pool::global().run_shards(work.len(), &|k| {
-        let mut w = work[k].lock().expect("work slot poisoned");
-        let (ca, cb, cc) = &mut *w;
-        let base = k * chunk;
-        *slots[k].lock().expect("result slot poisoned") = ca
-            .iter_mut()
-            .zip(cb.iter_mut())
-            .zip(cc.iter_mut())
-            .enumerate()
-            .map(|(j, ((x, y), z))| f(base + j, x, y, z))
-            .collect();
-    });
-    slots
-        .into_iter()
-        .flat_map(|m| m.into_inner().expect("result slot poisoned"))
-        .collect()
 }
 
 mod pool {
@@ -508,31 +378,6 @@ mod tests {
         assert_eq!(Parallelism::Threads(0).shards(100), 1);
         assert_eq!(Parallelism::Threads(16).shards(3), 3);
         assert!(Parallelism::Auto.shards(1000) >= 1);
-    }
-
-    #[test]
-    fn map_sharded_matches_serial() {
-        let serial = map_sharded(Parallelism::Serial, 37, |i| i * i);
-        for threads in [2, 4, 8] {
-            let par = map_sharded(Parallelism::Threads(threads), 37, |i| i * i);
-            assert_eq!(par, serial);
-        }
-    }
-
-    #[test]
-    fn zip_map_sharded_mutates_every_item_once() {
-        for par in [Parallelism::Serial, Parallelism::Threads(3)] {
-            let mut a = vec![0u64; 25];
-            let mut b = vec![0u64; 25];
-            let r = zip_map_sharded(par, &mut a, &mut b, |i, x, y| {
-                *x += 1;
-                *y += i as u64;
-                i
-            });
-            assert_eq!(r, (0..25).collect::<Vec<_>>());
-            assert!(a.iter().all(|&v| v == 1));
-            assert_eq!(b, (0..25).map(|i| i as u64).collect::<Vec<_>>());
-        }
     }
 
     #[test]
