@@ -23,7 +23,7 @@ use odrl_rl::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The per-core learner: plain/SARSA tabular agent or a double-Q pair,
@@ -845,20 +845,18 @@ impl RlPass<'_> {
                         }
                     }
                 }
-                if explored {
-                    if let Some(rings) = self.trace_rings {
-                        rings[base / self.chunk]
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .record(
-                                self.epoch,
-                                i as u32,
-                                Event::RlChoice {
-                                    action: a_next as u8,
-                                    explored: true,
-                                },
-                            );
-                    }
+                // A ring poisoned by an earlier shard panic only loses
+                // trace records; it never stops the control loop.
+                let ring = self.trace_rings.filter(|_| explored);
+                if let Some(Ok(mut ring)) = ring.map(|r| r[base / self.chunk].lock()) {
+                    ring.record(
+                        self.epoch,
+                        i as u32,
+                        Event::RlChoice {
+                            action: a_next as u8,
+                            explored: true,
+                        },
+                    );
                 }
                 dec[j] = (s_next, a_next);
             }
@@ -891,11 +889,8 @@ impl RlPass<'_> {
             blk = end;
         }
         rl_ns[0] = [decide_ns, learn_ns];
-        if let Some(ds) = self.diag_shards {
-            ds[base / self.chunk]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .merge(&diag);
+        if let Some(Ok(mut slot)) = self.diag_shards.map(|d| d[base / self.chunk].lock()) {
+            slot.merge(&diag);
         }
     }
 }
@@ -1481,10 +1476,7 @@ mod tests {
             traces.push(recs);
         }
         assert_eq!(counts[0], counts[1]);
-        assert_eq!(
-            traces[0], traces[1],
-            "merged trace must not depend on shard count"
-        );
+        assert_eq!(traces[0], traces[1], "merged trace must not depend on shard count");
     }
 
     #[test]
@@ -1890,7 +1882,8 @@ mod tests {
         let config = SystemConfig::builder().cores(8).seed(31).build().unwrap();
         let budget = Watts::new(0.6 * config.max_power().value());
         let mut system = System::new(config).unwrap();
-        let mut ctrl = OdRlController::new(OdRlConfig::default(), &system.spec(), budget).unwrap();
+        let mut ctrl =
+            OdRlController::new(OdRlConfig::default(), &system.spec(), budget).unwrap();
         ctrl.attach_budget_faults(&engine).unwrap();
         for _ in 0..100 {
             let obs = system.observation(budget);
@@ -1910,7 +1903,8 @@ mod tests {
         use odrl_faults::{FaultEngine, FaultPlan};
         let engine = FaultEngine::compile(&FaultPlan::new(), 4, 0).unwrap();
         let spec = SystemConfig::builder().cores(8).build().unwrap().spec();
-        let mut ctrl = OdRlController::new(OdRlConfig::default(), &spec, Watts::new(10.0)).unwrap();
+        let mut ctrl =
+            OdRlController::new(OdRlConfig::default(), &spec, Watts::new(10.0)).unwrap();
         assert!(ctrl.attach_budget_faults(&engine).is_err());
     }
 
@@ -1936,11 +1930,7 @@ mod tests {
             let obs = system.observation(budget);
             let actions = ctrl.decide(&obs);
             if let Some(r) = ctrl.market_round() {
-                assert_eq!(
-                    r.conservation_error(),
-                    0.0,
-                    "conservation must be bit-exact"
-                );
+                assert_eq!(r.conservation_error(), 0.0, "conservation must be bit-exact");
                 if r.moved() {
                     traded += 1;
                     let sum: f64 = ctrl.budgets().iter().map(|w| w.value()).sum();
@@ -2060,11 +2050,7 @@ mod tests {
         };
         let serial = run(Parallelism::Serial);
         for threads in [2, 4, 8] {
-            assert_eq!(
-                run(Parallelism::Threads(threads)),
-                serial,
-                "{threads} shards"
-            );
+            assert_eq!(run(Parallelism::Threads(threads)), serial, "{threads} shards");
         }
     }
 

@@ -15,8 +15,8 @@
 //! results: the *lowest* index attaining the row maximum, exactly like the
 //! scalar select chain in `QuantizedTable::best_action_and_max`.
 //!
-//! Every quantized row scan in the crate routes through it: the storage
-//! argmax, the double-Q per-table scan and the controller's block scan.
+//! Every quantized row scan routes through it: the storage argmax, the
+//! double-Q per-table scan and the OD-RL controller's block scan.
 
 use crate::storage::QUANT_LANES;
 
