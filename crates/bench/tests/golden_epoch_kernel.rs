@@ -43,12 +43,16 @@ const GOLDEN_SUMMARY_HASH: u64 = 0xfe16_4aa4_946d_c5c2;
 /// untouched, and serial and four-shard runs still agree bit for bit)
 /// hashes differently.
 const GOLDEN_POLICY_HASH: u64 = 0x295c_358b_e39a_0425;
+/// The same exported Q-tables hashed over their versioned binary snapshot
+/// (`PolicySnapshot::to_bytes`): every Q-value, visit count and row scale
+/// as raw bits.
+const GOLDEN_POLICY_BYTES_HASH: u64 = 0x921a_a096_0c22_473e;
 
-/// FNV-1a over a canonical JSON encoding: cheap, stable, and sensitive to
-/// any bit difference in any serialized field.
-fn fnv1a(s: &str) -> u64 {
+/// FNV-1a over a canonical encoding: cheap, stable, and sensitive to any
+/// bit difference in any serialized field.
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -123,15 +127,20 @@ fn check(par: Parallelism, empty_fault_plan: bool) {
     );
     let summary_json = serde_json::to_string(&summary).expect("serializable summary");
     assert_eq!(
-        fnv1a(&summary_json),
+        fnv1a(summary_json.as_bytes()),
         GOLDEN_SUMMARY_HASH,
         "{par:?}: full run summary drifted"
     );
     let policy_json = serde_json::to_string(&policy).expect("serializable snapshot");
     assert_eq!(
-        fnv1a(&policy_json),
+        fnv1a(policy_json.as_bytes()),
         GOLDEN_POLICY_HASH,
         "{par:?}: exported Q-table snapshot drifted"
+    );
+    let policy_bytes_hash = fnv1a(&policy.to_bytes());
+    assert_eq!(
+        policy_bytes_hash, GOLDEN_POLICY_BYTES_HASH,
+        "{par:?}: binary Q-table snapshot drifted ({policy_bytes_hash:#018x})"
     );
 }
 
@@ -220,8 +229,9 @@ fn snapshot_with(
     PolicySnapshot::from_bytes(&bytes).expect("well-formed snapshot")
 }
 
-/// Runs one variant and folds summary, policy and telemetry into one hash.
-fn variant_hash(agents: Agents, par: Parallelism) -> u64 {
+/// Runs one variant and folds summary, policy and telemetry into one hash,
+/// once with the policy's JSON encoding and once with its binary snapshot.
+fn variant_hash(agents: Agents, par: Parallelism) -> (u64, u64) {
     let config = SystemConfig::builder()
         .cores(VARIANT_CORES)
         .mix(MixPolicy::RoundRobin)
@@ -269,22 +279,32 @@ fn variant_hash(agents: Agents, par: Parallelism) -> u64 {
         );
         system.observation_into(budget, &mut obs);
     }
-    let mut canon = serde_json::to_string(&recorder.finish()).expect("serializable summary");
-    canon.push_str(&serde_json::to_string(&ctrl.export_policy()).expect("serializable policy"));
-    canon.push_str(&format!(
+    let summary = serde_json::to_string(&recorder.finish()).expect("serializable summary");
+    let policy = ctrl.export_policy();
+    let totals = format!(
         "{:016x}{:016x}",
         system.telemetry().total_instructions().to_bits(),
         system.telemetry().total_energy().value().to_bits()
-    ));
-    fnv1a(&canon)
+    );
+    let mut canon = summary.clone();
+    canon.push_str(&serde_json::to_string(&policy).expect("serializable policy"));
+    canon.push_str(&totals);
+    let mut bin = summary.into_bytes();
+    bin.extend_from_slice(&policy.to_bytes());
+    bin.extend_from_slice(totals.as_bytes());
+    (fnv1a(canon.as_bytes()), fnv1a(&bin))
 }
 
-fn check_variant(agents: Agents, golden: u64) {
+fn check_variant(agents: Agents, golden: u64, golden_bytes: u64) {
     for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-        let got = variant_hash(agents, par);
+        let (got, got_bytes) = variant_hash(agents, par);
         assert_eq!(
             got, golden,
             "{agents:?} {par:?}: hash {got:#018x} drifted from the golden"
+        );
+        assert_eq!(
+            got_bytes, golden_bytes,
+            "{agents:?} {par:?}: binary-policy hash {got_bytes:#018x} drifted from the golden"
         );
     }
 }
@@ -294,6 +314,7 @@ fn q_learning_scalar_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::QLearning, QTableLayout::Scalar),
         0xd23d_a1d4_758f_4887,
+        0xb4e7_1e84_66f9_4eee,
     );
 }
 
@@ -302,6 +323,7 @@ fn q_learning_quantized_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::QLearning, QTableLayout::Quantized),
         0x8173_9500_21cd_edda,
+        0x10c3_0ebe_05e9_893c,
     );
 }
 
@@ -310,6 +332,7 @@ fn sarsa_scalar_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::Sarsa, QTableLayout::Scalar),
         0x6b4a_152f_d3ce_61b0,
+        0x081c_b227_6abb_e141,
     );
 }
 
@@ -318,6 +341,7 @@ fn sarsa_quantized_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::Sarsa, QTableLayout::Quantized),
         0x4175_5f6b_4235_0b60,
+        0x42aa_0467_3852_6fb4,
     );
 }
 
@@ -326,6 +350,7 @@ fn double_q_scalar_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::DoubleQLearning, QTableLayout::Scalar),
         0x6b15_34bb_24b1_9434,
+        0x1a01_0332_d179_f1d9,
     );
 }
 
@@ -334,6 +359,7 @@ fn double_q_quantized_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::DoubleQLearning, QTableLayout::Quantized),
         0x6c37_67c6_d003_aa1c,
+        0x2f33_3e39_4c7e_c431,
     );
 }
 
@@ -345,6 +371,7 @@ fn imported_softmax_policy_matches_golden() {
     check_variant(
         Agents::Imported(Algorithm::QLearning, QTableLayout::Quantized, softmax),
         0x3db6_d2c1_951e_d08c,
+        0xa94d_cf57_9f76_752c,
     );
 }
 
@@ -357,6 +384,7 @@ fn imported_ucb1_policy_matches_golden() {
             Policy::Ucb1 { c: 0.5 },
         ),
         0x1a67_014b_8ca6_317c,
+        0xa4d9_bb40_3d43_09cb,
     );
 }
 
@@ -369,6 +397,7 @@ fn imported_greedy_policy_matches_golden() {
             Policy::Greedy,
         ),
         0xf87a_50f3_f884_35a3,
+        0x09ba_b9eb_e9dc_3137,
     );
 }
 
@@ -380,5 +409,6 @@ fn imported_double_q_softmax_policy_matches_golden() {
     check_variant(
         Agents::Imported(Algorithm::DoubleQLearning, QTableLayout::Quantized, softmax),
         0x2c93_0d98_ac10_c8a3,
+        0xb928_1aef_5442_339c,
     );
 }
