@@ -3,7 +3,8 @@
 //! The constants below were captured from the pre-SoA (per-core struct)
 //! implementation of the fixed-seed 256-core closed loop: run summary,
 //! telemetry totals and the exported Q-table snapshot, hashed over their
-//! canonical JSON encodings. The SoA kernel — `observation_into` +
+//! canonical encodings (JSON for the summary, the versioned binary
+//! snapshot for the policy). The SoA kernel — `observation_into` +
 //! `step_in_place` with reused scratch — must reproduce every one of them
 //! bit for bit, both on the serial path and sharded four ways.
 //!
@@ -17,8 +18,7 @@ use odrl_manycore::{Parallelism, System, SystemConfig};
 use odrl_metrics::RunRecorder;
 use odrl_power::{LevelId, Watts};
 use odrl_rl::{
-    snapshot as rl_snapshot, Agent, Algorithm, DoubleAgent, Policy, QTableLayout, Schedule,
-    KIND_AGENT, KIND_DOUBLE_AGENT, KIND_POLICY_SET,
+    snapshot as rl_snapshot, Agent, Algorithm, Policy, QTableLayout, Schedule, KIND_POLICY_SET,
 };
 use odrl_workload::MixPolicy;
 
@@ -37,15 +37,9 @@ const GOLDEN_ENERGY_BITS: u64 = 0x4049_0737_2bf4_f1ec;
 const GOLDEN_MEAN_POWER_BITS: u64 = 0x407a_122e_cdc9_d155;
 const GOLDEN_OVERSHOOT_BITS: u64 = 0x0000_0000_0000_0000;
 const GOLDEN_SUMMARY_HASH: u64 = 0xfe16_4aa4_946d_c5c2;
-/// Re-captured when per-agent tables moved behind the `QTableStorage`
-/// enum: the serialized snapshot gained the storage-layout wrapper, so the
-/// canonical JSON (and only it — every trajectory constant above is
-/// untouched, and serial and four-shard runs still agree bit for bit)
-/// hashes differently.
-const GOLDEN_POLICY_HASH: u64 = 0x295c_358b_e39a_0425;
-/// The same exported Q-tables hashed over their versioned binary snapshot
-/// (`PolicySnapshot::to_bytes`): every Q-value, visit count and row scale
-/// as raw bits.
+/// The exported Q-tables hashed over their versioned binary snapshot
+/// (`PolicySnapshot::to_bytes`, the only policy encoding): every Q-value,
+/// visit count and row scale as raw bits.
 const GOLDEN_POLICY_BYTES_HASH: u64 = 0x921a_a096_0c22_473e;
 
 /// FNV-1a over a canonical encoding: cheap, stable, and sensitive to any
@@ -131,12 +125,6 @@ fn check(par: Parallelism, empty_fault_plan: bool) {
         GOLDEN_SUMMARY_HASH,
         "{par:?}: full run summary drifted"
     );
-    let policy_json = serde_json::to_string(&policy).expect("serializable snapshot");
-    assert_eq!(
-        fnv1a(policy_json.as_bytes()),
-        GOLDEN_POLICY_HASH,
-        "{par:?}: exported Q-table snapshot drifted"
-    );
     let policy_bytes_hash = fnv1a(&policy.to_bytes());
     assert_eq!(
         policy_bytes_hash, GOLDEN_POLICY_BYTES_HASH,
@@ -201,37 +189,26 @@ fn snapshot_with(
     rl_snapshot::put_u64(&mut bytes, states as u64);
     rl_snapshot::put_u64(&mut bytes, actions as u64);
     rl_snapshot::put_u64(&mut bytes, cores as u64);
+    let mut builder = Agent::builder(states, actions)
+        .gamma(odrl.gamma)
+        .alpha(odrl.alpha)
+        .policy(policy)
+        .layout(layout)
+        .optimistic(optimistic);
+    if algorithm == Algorithm::DoubleQLearning {
+        builder = builder.double().optimistic(optimistic / 2.0);
+    }
+    let agent = builder.build().expect("valid agent");
     for _ in 0..cores {
-        if algorithm == Algorithm::DoubleQLearning {
-            rl_snapshot::put_u64(&mut bytes, u64::from(KIND_DOUBLE_AGENT));
-            DoubleAgent::builder(states, actions)
-                .gamma(odrl.gamma)
-                .alpha(odrl.alpha)
-                .policy(policy)
-                .layout(layout)
-                .optimistic(optimistic / 2.0)
-                .build()
-                .expect("valid agent")
-                .encode_block(&mut bytes);
-        } else {
-            rl_snapshot::put_u64(&mut bytes, u64::from(KIND_AGENT));
-            Agent::builder(states, actions)
-                .gamma(odrl.gamma)
-                .alpha(odrl.alpha)
-                .policy(policy)
-                .layout(layout)
-                .optimistic(optimistic)
-                .build()
-                .expect("valid agent")
-                .encode_block(&mut bytes);
-        }
+        rl_snapshot::put_u64(&mut bytes, u64::from(agent.kind()));
+        agent.encode_block(&mut bytes);
     }
     PolicySnapshot::from_bytes(&bytes).expect("well-formed snapshot")
 }
 
-/// Runs one variant and folds summary, policy and telemetry into one hash,
-/// once with the policy's JSON encoding and once with its binary snapshot.
-fn variant_hash(agents: Agents, par: Parallelism) -> (u64, u64) {
+/// Runs one variant and folds summary, binary policy snapshot and telemetry
+/// into one hash.
+fn variant_hash(agents: Agents, par: Parallelism) -> u64 {
     let config = SystemConfig::builder()
         .cores(VARIANT_CORES)
         .mix(MixPolicy::RoundRobin)
@@ -279,32 +256,27 @@ fn variant_hash(agents: Agents, par: Parallelism) -> (u64, u64) {
         );
         system.observation_into(budget, &mut obs);
     }
-    let summary = serde_json::to_string(&recorder.finish()).expect("serializable summary");
-    let policy = ctrl.export_policy();
-    let totals = format!(
-        "{:016x}{:016x}",
-        system.telemetry().total_instructions().to_bits(),
-        system.telemetry().total_energy().value().to_bits()
+    let mut canon = serde_json::to_string(&recorder.finish())
+        .expect("serializable summary")
+        .into_bytes();
+    canon.extend_from_slice(&ctrl.export_policy().to_bytes());
+    canon.extend_from_slice(
+        format!(
+            "{:016x}{:016x}",
+            system.telemetry().total_instructions().to_bits(),
+            system.telemetry().total_energy().value().to_bits()
+        )
+        .as_bytes(),
     );
-    let mut canon = summary.clone();
-    canon.push_str(&serde_json::to_string(&policy).expect("serializable policy"));
-    canon.push_str(&totals);
-    let mut bin = summary.into_bytes();
-    bin.extend_from_slice(&policy.to_bytes());
-    bin.extend_from_slice(totals.as_bytes());
-    (fnv1a(canon.as_bytes()), fnv1a(&bin))
+    fnv1a(&canon)
 }
 
-fn check_variant(agents: Agents, golden: u64, golden_bytes: u64) {
+fn check_variant(agents: Agents, golden: u64) {
     for par in [Parallelism::Serial, Parallelism::Threads(4)] {
-        let (got, got_bytes) = variant_hash(agents, par);
+        let got = variant_hash(agents, par);
         assert_eq!(
             got, golden,
             "{agents:?} {par:?}: hash {got:#018x} drifted from the golden"
-        );
-        assert_eq!(
-            got_bytes, golden_bytes,
-            "{agents:?} {par:?}: binary-policy hash {got_bytes:#018x} drifted from the golden"
         );
     }
 }
@@ -313,7 +285,6 @@ fn check_variant(agents: Agents, golden: u64, golden_bytes: u64) {
 fn q_learning_scalar_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::QLearning, QTableLayout::Scalar),
-        0xd23d_a1d4_758f_4887,
         0xb4e7_1e84_66f9_4eee,
     );
 }
@@ -322,7 +293,6 @@ fn q_learning_scalar_matches_golden() {
 fn q_learning_quantized_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::QLearning, QTableLayout::Quantized),
-        0x8173_9500_21cd_edda,
         0x10c3_0ebe_05e9_893c,
     );
 }
@@ -331,7 +301,6 @@ fn q_learning_quantized_matches_golden() {
 fn sarsa_scalar_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::Sarsa, QTableLayout::Scalar),
-        0x6b4a_152f_d3ce_61b0,
         0x081c_b227_6abb_e141,
     );
 }
@@ -340,7 +309,6 @@ fn sarsa_scalar_matches_golden() {
 fn sarsa_quantized_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::Sarsa, QTableLayout::Quantized),
-        0x4175_5f6b_4235_0b60,
         0x42aa_0467_3852_6fb4,
     );
 }
@@ -349,7 +317,6 @@ fn sarsa_quantized_matches_golden() {
 fn double_q_scalar_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::DoubleQLearning, QTableLayout::Scalar),
-        0x6b15_34bb_24b1_9434,
         0x1a01_0332_d179_f1d9,
     );
 }
@@ -358,7 +325,6 @@ fn double_q_scalar_matches_golden() {
 fn double_q_quantized_matches_golden() {
     check_variant(
         Agents::Config(Algorithm::DoubleQLearning, QTableLayout::Quantized),
-        0x6c37_67c6_d003_aa1c,
         0x2f33_3e39_4c7e_c431,
     );
 }
@@ -370,7 +336,6 @@ fn imported_softmax_policy_matches_golden() {
     };
     check_variant(
         Agents::Imported(Algorithm::QLearning, QTableLayout::Quantized, softmax),
-        0x3db6_d2c1_951e_d08c,
         0xa94d_cf57_9f76_752c,
     );
 }
@@ -383,7 +348,6 @@ fn imported_ucb1_policy_matches_golden() {
             QTableLayout::Scalar,
             Policy::Ucb1 { c: 0.5 },
         ),
-        0x1a67_014b_8ca6_317c,
         0xa4d9_bb40_3d43_09cb,
     );
 }
@@ -396,7 +360,6 @@ fn imported_greedy_policy_matches_golden() {
             QTableLayout::Quantized,
             Policy::Greedy,
         ),
-        0xf87a_50f3_f884_35a3,
         0x09ba_b9eb_e9dc_3137,
     );
 }
@@ -408,7 +371,6 @@ fn imported_double_q_softmax_policy_matches_golden() {
     };
     check_variant(
         Agents::Imported(Algorithm::DoubleQLearning, QTableLayout::Quantized, softmax),
-        0x2c93_0d98_ac10_c8a3,
         0xb928_1aef_5442_339c,
     );
 }

@@ -140,7 +140,7 @@ impl PredictionTable {
     }
 
     /// Hints the prefetcher at core `i`'s row, mirroring
-    /// `odrl_rl::QTableStorage::prefetch_row`: a solver scanning core `i`
+    /// `odrl_rl::QTableStorage::prefetch_select`: a solver scanning core `i`
     /// can pull core `i + 1`'s predictions toward L1 while the current
     /// row's arithmetic retires. No-op on non-x86_64 targets and for
     /// out-of-range cores.

@@ -57,7 +57,11 @@ pub struct OdRlConfig {
     /// Weight of the thermal penalty per 10 °C of excess (only used when
     /// `thermal_limit` is set).
     pub thermal_penalty: f64,
-    /// Which TD update to apply.
+    /// Which TD update to apply. [`Algorithm::DoubleQLearning`] builds
+    /// every agent with a second table (each at half the optimistic
+    /// prior, since selection sums them). After an import, a two-table
+    /// agent always runs double-Q, and a one-table agent under
+    /// `DoubleQLearning` bootstraps from the row maximum (Q-learning).
     pub algorithm: Algorithm,
     /// Q-table memory layout of the per-core agents. The default
     /// [`QTableLayout::Scalar`] keeps the historical `f64` tables (and

@@ -17,167 +17,13 @@ use odrl_obs::{Event, EventCounts, EventRecord, LearnDiag, TraceRing};
 use odrl_power::{LevelId, Watts};
 use odrl_rl::snapshot as rl_snapshot;
 use odrl_rl::{
-    Agent, Algorithm, DoubleAgent, EpsCache, Policy, RlError, SnapshotError, UpdateMask,
-    KIND_AGENT, KIND_DOUBLE_AGENT, KIND_POLICY_SET,
+    Agent, Algorithm, EpsCache, Policy, RlError, SnapshotError, UpdateMask, KIND_POLICY_SET,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
-
-/// The per-core learner: plain/SARSA tabular agent or a double-Q pair,
-/// chosen by [`OdRlConfig::algorithm`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-enum CoreAgent {
-    Single(Agent),
-    Double(DoubleAgent),
-}
-
-impl CoreAgent {
-    /// The decide half of the RL step: one pass over this state's Q-row
-    /// selects the action *and* captures the TD bootstrap the pending
-    /// transition will be priced with — the argmax the TD target needs
-    /// and the greedy choice the policy needs are the same scan. `scan`
-    /// is a block-scan result for this agent's [`CoreAgent::quant_row`]
-    /// and `draw` a pre-drawn ε uniform (see `Agent::decide`); a double
-    /// agent always scans its two tables itself. The flag is `true` when
-    /// the action came from an exploration draw.
-    #[inline]
-    fn decide<R: Rng + ?Sized>(
-        &mut self,
-        algorithm: Algorithm,
-        s_next: usize,
-        scan: Option<(usize, f64)>,
-        draw: Option<u64>,
-        rng: &mut R,
-        cache: &mut EpsCache,
-    ) -> Result<(usize, bool, f64), RlError> {
-        match self {
-            Self::Single(agent) => agent.decide(algorithm, s_next, scan, draw, rng, cache),
-            Self::Double(agent) => agent.decide(s_next, draw, rng, cache),
-        }
-    }
-
-    /// The banked row and scale the next decision in `s_next` would scan,
-    /// when this agent can consume a block-scanned argmax (single-agent
-    /// quantized storage only — a double agent scans the sum of two
-    /// tables, which the block kernel does not model).
-    #[inline]
-    fn quant_row(&self, s_next: usize) -> Option<(&[i16], f32)> {
-        match self {
-            Self::Single(a) => a.quant_row(s_next),
-            Self::Double(_) => None,
-        }
-    }
-
-    /// Whether this agent's policy consumes exactly one leading uniform
-    /// draw per decision — the gate for the batched ε refill.
-    fn pre_draws(&self) -> bool {
-        match self {
-            Self::Single(a) => a.policy_pre_draws(),
-            Self::Double(a) => a.policy_pre_draws(),
-        }
-    }
-
-    /// The learn half: applies the TD update for `(s, a, reward)` with the
-    /// bootstrap captured by the same epoch's [`CoreAgent::decide`].
-    /// Returns the TD error (the learning-health diagnostics signal).
-    #[inline]
-    fn learn(&mut self, s: usize, a: usize, reward: f64, bootstrap: f64) -> Result<f64, RlError> {
-        match self {
-            Self::Single(agent) => agent.learn(s, a, reward, bootstrap),
-            Self::Double(agent) => agent.learn(s, a, reward, bootstrap),
-        }
-    }
-
-    /// Min/max action value and visit count of state `s` — the
-    /// diagnostics tap (for double-Q, the element-wise union over both
-    /// tables).
-    fn row_stats(&self, s: usize) -> Result<odrl_rl::RowStats, RlError> {
-        match self {
-            Self::Single(a) => a.q().row_stats(s),
-            Self::Double(a) => {
-                let sa = a.qa().row_stats(s)?;
-                let sb = a.qb().row_stats(s)?;
-                Ok(odrl_rl::RowStats {
-                    q_min: sa.q_min.min(sb.q_min),
-                    q_max: sa.q_max.max(sb.q_max),
-                    visit_min: sa.visit_min.min(sb.visit_min),
-                    visit_max: sa.visit_max.max(sb.visit_max),
-                })
-            }
-        }
-    }
-
-    /// Quantized-storage health (summed over both tables for double-Q);
-    /// `None` when the storage is scalar.
-    fn quant_health(&self) -> Option<odrl_rl::QuantHealth> {
-        match self {
-            Self::Single(a) => a.q().quant_health(),
-            Self::Double(a) => {
-                let ha = a.qa().quant_health()?;
-                let hb = a.qb().quant_health()?;
-                Some(odrl_rl::QuantHealth {
-                    doublings: ha.doublings + hb.doublings,
-                    saturated: ha.saturated + hb.saturated,
-                    lanes: ha.lanes + hb.lanes,
-                })
-            }
-        }
-    }
-
-    /// Hints the CPU to pull state `s`'s Q-row(s) and row scale toward
-    /// L1 — the block pipeline's encode pass issues this for every agent
-    /// of a block before the block's scan starts.
-    #[inline]
-    fn prefetch_select(&self, s: usize) {
-        match self {
-            Self::Single(a) => a.q().prefetch_select(s),
-            Self::Double(a) => {
-                a.qa().prefetch_select(s);
-                a.qb().prefetch_select(s);
-            }
-        }
-    }
-
-    /// Hints the CPU at everything the pending TD update of `(s, a)` will
-    /// touch (bank lane, row scale, visit counter — separate allocations
-    /// on the quantized layout). The block pipeline issues this one block
-    /// ahead of the learn pass.
-    #[inline]
-    fn prefetch_update(&self, s: usize, a: usize) {
-        match self {
-            Self::Single(ag) => ag.q().prefetch_update(s, a),
-            Self::Double(ag) => {
-                ag.qa().prefetch_update(s, a);
-                ag.qb().prefetch_update(s, a);
-            }
-        }
-    }
-
-    fn coverage(&self) -> f64 {
-        match self {
-            Self::Single(a) => a.q().coverage(),
-            Self::Double(a) => a.coverage(),
-        }
-    }
-
-    fn values(&self, s: usize) -> Result<Vec<f64>, RlError> {
-        match self {
-            Self::Single(a) => a.q().row_values(s),
-            Self::Double(a) => a.combined_row(s),
-        }
-    }
-
-    /// `(states, actions)` of the underlying table(s).
-    fn dims(&self) -> (usize, usize) {
-        match self {
-            Self::Single(a) => (a.q().states(), a.q().actions()),
-            Self::Double(a) => (a.qa().states(), a.qa().actions()),
-        }
-    }
-}
 
 /// On-line Distributed Reinforcement Learning DVFS control
 /// (Chen & Marculescu, DATE 2015).
@@ -218,7 +64,7 @@ impl CoreAgent {
 pub struct OdRlController {
     config: OdRlConfig,
     encoder: StateEncoder,
-    agents: Vec<CoreAgent>,
+    agents: Vec<Agent>,
     shaper: RewardShaper,
     allocator: Option<BudgetAllocator>,
     budgets: Vec<Watts>,
@@ -349,28 +195,18 @@ impl OdRlController {
         let policy = Policy::EpsilonGreedy {
             epsilon: config.epsilon,
         };
+        let mut builder = Agent::builder(encoder.num_states(), encoder.num_actions())
+            .gamma(config.gamma)
+            .alpha(config.alpha)
+            .policy(policy)
+            .layout(config.layout)
+            .optimistic(optimistic);
+        if config.algorithm == Algorithm::DoubleQLearning {
+            // Selection sums both tables, so halve the prior.
+            builder = builder.double().optimistic(optimistic / 2.0);
+        }
         let agents = (0..spec.cores)
-            .map(|_| match config.algorithm {
-                Algorithm::DoubleQLearning => Ok(CoreAgent::Double(
-                    DoubleAgent::builder(encoder.num_states(), encoder.num_actions())
-                        .gamma(config.gamma)
-                        .alpha(config.alpha)
-                        .policy(policy)
-                        .layout(config.layout)
-                        // Selection sums both tables, so halve the prior.
-                        .optimistic(optimistic / 2.0)
-                        .build()?,
-                )),
-                _ => Ok(CoreAgent::Single(
-                    Agent::builder(encoder.num_states(), encoder.num_actions())
-                        .gamma(config.gamma)
-                        .alpha(config.alpha)
-                        .policy(policy)
-                        .layout(config.layout)
-                        .optimistic(optimistic)
-                        .build()?,
-                )),
-            })
+            .map(|_| builder.clone().build())
             .collect::<Result<Vec<_>, RlError>>()?;
         let allocator = reallocate
             .then(|| BudgetAllocator::new(spec.cores, config.realloc_gain, config.min_share));
@@ -387,7 +223,7 @@ impl OdRlController {
             .watchdog
             .enabled
             .then(|| SensorWatchdog::new(config.watchdog, spec.cores));
-        let eps_batchable = agents.iter().all(CoreAgent::pre_draws);
+        let eps_batchable = agents.iter().all(Agent::policy_pre_draws);
         Ok(Self {
             shaper: RewardShaper::new(spec.cores, encoder.num_mem_bins(), config.overshoot_penalty),
             budgets: BudgetAllocator::fair_split(initial_budget, spec.cores),
@@ -568,7 +404,7 @@ impl OdRlController {
         self.agents = snapshot.agents;
         // Imported agents may carry any policy; re-derive the batched-ε
         // eligibility from what actually arrived.
-        self.eps_batchable = self.agents.iter().all(CoreAgent::pre_draws);
+        self.eps_batchable = self.agents.iter().all(Agent::policy_pre_draws);
         // Rewards already earned under the old tables are stale.
         self.pending = None;
         Ok(())
@@ -583,7 +419,7 @@ impl OdRlController {
         let core = obs.cores.get(i)?;
         let agent = self.agents.get(i)?;
         let s = self.encoder.encode(core, self.affordability(i));
-        agent.values(s).ok()
+        agent.row_values(s).ok()
     }
 
     /// Core `i`'s effective share: its base allocation times the chip
@@ -606,7 +442,7 @@ impl OdRlController {
     /// Fraction of `(state, action)` pairs the per-core agents have visited
     /// (averaged over cores) — a learning-progress diagnostic.
     pub fn coverage(&self) -> f64 {
-        let sum: f64 = self.agents.iter().map(CoreAgent::coverage).sum();
+        let sum: f64 = self.agents.iter().map(Agent::coverage).sum();
         sum / self.agents.len() as f64
     }
 
@@ -641,7 +477,7 @@ const BLOCK: usize = 64;
 /// pre-drawn ε draws, cached memory bins and the `[decide_ns, learn_ns]`
 /// stamp slots.
 type RlShard<'a> = (
-    &'a mut [CoreAgent],
+    &'a mut [Agent],
     &'a mut [StdRng],
     RewardRows<'a>,
     &'a mut [(usize, usize)],
@@ -703,7 +539,7 @@ impl RlPass<'_> {
 
     /// Prefetches the Q-lanes last epoch's transitions of shard cores
     /// `from..to` will update.
-    fn prefetch_updates(&self, agents: &[CoreAgent], base: usize, from: usize, to: usize) {
+    fn prefetch_updates(&self, agents: &[Agent], base: usize, from: usize, to: usize) {
         if let Some(pending) = self.pending {
             for k in from..to {
                 let (ps, pa) = pending[base + k];
@@ -902,7 +738,7 @@ impl RlPass<'_> {
 /// unless every agent in the block exposes a banked row; the agents then
 /// scan per core inside `decide`. Dead cores' rows are scanned too (a
 /// pure read) and the result ignored.
-fn scan_block(agents: &[CoreAgent], dec: &[(usize, usize)], out: &mut [(u16, f64); BLOCK]) -> bool {
+fn scan_block(agents: &[Agent], dec: &[(usize, usize)], out: &mut [(u16, f64); BLOCK]) -> bool {
     const EMPTY_ROW: &[i16] = &[];
     let mut rows: [(&[i16], f32); BLOCK] = [(EMPTY_ROW, 0.0); BLOCK];
     for (k, (agent, &(s, _))) in agents.iter().zip(dec).enumerate() {
@@ -1276,13 +1112,15 @@ impl PowerController for OdRlController {
 }
 
 /// An exported set of learned per-core policies (see
-/// [`OdRlController::export_policy`]). Opaque but serializable, so it can
-/// be written to disk and imported into a compatible controller later.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+/// [`OdRlController::export_policy`]). Opaque; its one encoding is the
+/// versioned binary snapshot ([`PolicySnapshot::to_bytes`] /
+/// [`PolicySnapshot::save`]), which can be written to disk and imported
+/// into a compatible controller later.
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicySnapshot {
     states: usize,
     actions: usize,
-    agents: Vec<CoreAgent>,
+    agents: Vec<Agent>,
 }
 
 impl PolicySnapshot {
@@ -1312,16 +1150,8 @@ impl PolicySnapshot {
         rl_snapshot::put_u64(&mut out, self.actions as u64);
         rl_snapshot::put_u64(&mut out, self.agents.len() as u64);
         for agent in &self.agents {
-            match agent {
-                CoreAgent::Single(a) => {
-                    rl_snapshot::put_u64(&mut out, u64::from(KIND_AGENT));
-                    a.encode_block(&mut out);
-                }
-                CoreAgent::Double(a) => {
-                    rl_snapshot::put_u64(&mut out, u64::from(KIND_DOUBLE_AGENT));
-                    a.encode_block(&mut out);
-                }
-            }
+            rl_snapshot::put_u64(&mut out, u64::from(agent.kind()));
+            agent.encode_block(&mut out);
         }
         out
     }
@@ -1339,18 +1169,12 @@ impl PolicySnapshot {
         let states = cur.take_len()?;
         let actions = cur.take_len()?;
         let count = cur.take_len()?;
-        let mut agents = Vec::with_capacity(count.min(1 << 16));
+        // Every agent block takes well over 8 bytes, so the unread length
+        // caps what a forged count can reserve.
+        let mut agents = Vec::with_capacity(count.min(cur.remaining() / 8));
         for _ in 0..count {
             let kind = cur.take_u64()?;
-            let agent = if kind == u64::from(KIND_AGENT) {
-                CoreAgent::Single(Agent::decode_block(&mut cur)?)
-            } else if kind == u64::from(KIND_DOUBLE_AGENT) {
-                CoreAgent::Double(DoubleAgent::decode_block(&mut cur)?)
-            } else {
-                return Err(RlError::Snapshot {
-                    reason: "unknown agent kind in policy set",
-                });
-            };
+            let agent = Agent::decode_block(&mut cur, kind)?;
             if agent.dims() != (states, actions) {
                 return Err(RlError::Snapshot {
                     reason: "agent dimensions disagree with the policy-set header",

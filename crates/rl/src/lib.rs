@@ -5,9 +5,9 @@
 //!
 //! * [`QTable`] — dense `|S| × |A|` action values with visit counts;
 //! * [`Agent`] — Q-learning / SARSA TD updates with per-`(s,a)` learning
-//!   rates;
-//! * [`DoubleAgent`] — double Q-learning (two tables, decoupled selection
-//!   and evaluation) for noise-robust value estimates;
+//!   rates over one table, or double Q-learning (two tables, decoupled
+//!   selection and evaluation; [`AgentBuilder::double`]) for noise-robust
+//!   value estimates;
 //! * [`TraceAgent`] — Watkins Q(λ) with sparse eligibility traces for
 //!   faster credit propagation;
 //! * [`Policy`] — greedy, ε-greedy and softmax action selection;
@@ -46,7 +46,6 @@
 
 pub mod agent;
 pub mod discretize;
-pub mod double_q;
 pub mod error;
 pub mod kernel;
 pub mod mask;
@@ -59,7 +58,6 @@ pub mod traces;
 
 pub use agent::{Agent, AgentBuilder, Algorithm};
 pub use discretize::{StateSpace, UniformBins};
-pub use double_q::{DoubleAgent, DoubleAgentBuilder};
 pub use error::RlError;
 pub use mask::UpdateMask;
 pub use policy::{EpsCache, Policy};

@@ -1,4 +1,5 @@
-//! Versioned binary snapshot format for agents and their Q-table storage.
+//! Versioned binary snapshot format for agents and their Q-table storage —
+//! the only policy encoding: saves, loads and warm starts all use it.
 //!
 //! The format is little-endian throughout and designed so the bulk payload
 //! — the raw table banks — lands at 8-byte-aligned offsets, mmap-friendly
@@ -11,20 +12,22 @@
 //! offset  size  field
 //!      0     8  magic  b"ODRLQSNP"
 //!      8     4  version (u32, currently 1)
-//!     12     1  kind    (1 = Agent, 2 = DoubleAgent, 3 = policy set)
+//!     12     1  kind    (1 = one-table Agent, 2 = two-table (double-Q)
+//!                       Agent, 3 = policy set)
 //!     13     3  reserved (zero)
 //!     16     …  kind-specific payload
 //! ```
 //!
-//! An **agent block** (the payload of kind 1; kind 2 appends its `updates`
-//! counter and a second storage block) is:
+//! An **agent block** (the payload of kind 1; kind 2 inserts its `updates`
+//! rotation counter before the storage and appends a second storage block)
+//! is:
 //!
 //! ```text
 //! gamma f64 · step u64 · alpha schedule · policy · storage
 //! ```
 //!
 //! A **schedule** is `tag u8 · pad[7] · p0 f64 · p1 f64 · p2 f64 · p3 u64`
-//! (48 bytes; unused params zero). A **policy** is `tag u8 · pad[7]`
+//! (40 bytes; unused params zero). A **policy** is `tag u8 · pad[7]`
 //! followed by a schedule (ε-greedy, softmax) or one `f64` (UCB1). A
 //! **storage block** is `layout u8 · pad[7] · states u64 · actions u64`
 //! followed by the raw banks: `f64` values then `u64` visits for the
@@ -33,13 +36,15 @@
 //!
 //! Decoders validate magic, version, every tag, dimension consistency and
 //! exact buffer length, rejecting corrupt, truncated or version-mismatched
-//! snapshots with [`RlError::Snapshot`].
+//! snapshots with [`RlError::Snapshot`]. A storage block's claimed payload
+//! must fit in the unread bytes before anything is allocated for it, so a
+//! few header bytes can never demand a huge allocation.
 
 use crate::error::RlError;
 use crate::policy::Policy;
 use crate::qtable::QTable;
 use crate::schedule::Schedule;
-use crate::storage::{QTableStorage, QuantizedTable};
+use crate::storage::{QTableStorage, QuantizedTable, QUANT_LANES};
 use std::error::Error;
 use std::fmt;
 
@@ -49,10 +54,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"ODRLQSNP";
 /// Current snapshot format version.
 pub const SNAPSHOT_VERSION: u32 = 1;
 
-/// Header kind tag for a single [`crate::Agent`].
+/// Header kind tag for a one-table [`crate::Agent`].
 pub const KIND_AGENT: u8 = 1;
 
-/// Header kind tag for a [`crate::DoubleAgent`].
+/// Header kind tag for a two-table (double Q-learning) [`crate::Agent`].
 pub const KIND_DOUBLE_AGENT: u8 = 2;
 
 /// Header kind tag for a multi-agent policy set (one block per agent,
@@ -174,11 +179,36 @@ impl<'a> SnapCursor<'a> {
         Ok(f32::from_bits(self.take_u32()?))
     }
 
-    fn skip_pad(&mut self, payload: usize) -> Result<(), RlError> {
-        let pad = payload.next_multiple_of(8) - payload;
-        if pad > 0 {
-            self.take(pad)?;
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Fails unless `sections` — `(count, width)` runs of items, each run
+    /// zero-padded to 8 bytes — fit in the unread bytes. Decoders check
+    /// this before allocating for a payload whose size came from the
+    /// buffer itself.
+    fn expect_sections(&self, sections: &[(usize, usize)]) -> Result<(), RlError> {
+        let total = sections.iter().try_fold(0usize, |acc, &(count, width)| {
+            count
+                .checked_mul(width)?
+                .checked_next_multiple_of(8)?
+                .checked_add(acc)
+        });
+        match total {
+            Some(n) if n <= self.remaining() => Ok(()),
+            _ => Err(RlError::Snapshot {
+                reason: "snapshot truncated",
+            }),
         }
+    }
+
+    /// Skips the zero padding after `count` items of `width` bytes.
+    fn skip_pad(&mut self, count: usize, width: usize) -> Result<(), RlError> {
+        let payload = count.checked_mul(width).ok_or(RlError::Snapshot {
+            reason: "table dimensions overflow",
+        })?;
+        self.take(payload.next_multiple_of(8) - payload)?;
         Ok(())
     }
 
@@ -214,6 +244,18 @@ pub fn header(kind: u8) -> Vec<u8> {
 /// Returns [`RlError::Snapshot`] for wrong magic, an unsupported version,
 /// or a kind other than `expect_kind`.
 pub fn check_header(bytes: &[u8], expect_kind: u8) -> Result<SnapCursor<'_>, RlError> {
+    let (kind, cur) = open(bytes)?;
+    if kind != expect_kind {
+        return Err(RlError::Snapshot {
+            reason: "snapshot kind mismatch",
+        });
+    }
+    Ok(cur)
+}
+
+/// Validates magic and version and returns the header's kind tag and a
+/// cursor over the payload.
+pub(crate) fn open(bytes: &[u8]) -> Result<(u8, SnapCursor<'_>), RlError> {
     let mut cur = SnapCursor { buf: bytes, pos: 0 };
     let magic = cur.take(8)?;
     if magic != SNAPSHOT_MAGIC {
@@ -228,13 +270,8 @@ pub fn check_header(bytes: &[u8], expect_kind: u8) -> Result<SnapCursor<'_>, RlE
         });
     }
     let kind = cur.take_u8()?;
-    if kind != expect_kind {
-        return Err(RlError::Snapshot {
-            reason: "snapshot kind mismatch",
-        });
-    }
     cur.take(3)?; // reserved
-    Ok(cur)
+    Ok((kind, cur))
 }
 
 /// Appends a little-endian `u64`.
@@ -424,6 +461,7 @@ pub(crate) fn read_storage(cur: &mut SnapCursor<'_>) -> Result<QTableStorage, Rl
     })?;
     match tag {
         0 => {
+            cur.expect_sections(&[(cells, 8), (cells, 8)])?;
             let mut values = Vec::with_capacity(cells);
             for _ in 0..cells {
                 values.push(cur.take_f64()?);
@@ -438,25 +476,31 @@ pub(crate) fn read_storage(cur: &mut SnapCursor<'_>) -> Result<QTableStorage, Rl
         }
         1 => {
             let stride = cur.take_len()?;
+            if Some(stride) != actions.checked_next_multiple_of(QUANT_LANES) {
+                return Err(RlError::Snapshot {
+                    reason: "quantized table geometry mismatch",
+                });
+            }
             let lanes = states.checked_mul(stride).ok_or(RlError::Snapshot {
                 reason: "table dimensions overflow",
             })?;
+            cur.expect_sections(&[(states, 4), (lanes, 2), (cells, 4)])?;
             let mut scales = Vec::with_capacity(states);
             for _ in 0..states {
                 scales.push(cur.take_f32()?);
             }
-            cur.skip_pad(states * 4)?;
+            cur.skip_pad(states, 4)?;
             let mut bank = Vec::with_capacity(lanes);
             for _ in 0..lanes {
                 let b = cur.take(2)?;
                 bank.push(i16::from_le_bytes([b[0], b[1]]));
             }
-            cur.skip_pad(lanes * 2)?;
+            cur.skip_pad(lanes, 2)?;
             let mut visits = Vec::with_capacity(cells);
             for _ in 0..cells {
                 visits.push(cur.take_u32()?);
             }
-            cur.skip_pad(cells * 4)?;
+            cur.skip_pad(cells, 4)?;
             Ok(QTableStorage::Quantized(QuantizedTable::from_parts(
                 states, actions, stride, bank, scales, visits,
             )?))

@@ -122,7 +122,7 @@ pub enum QTableLayout {
 /// assert!((q.max_value(1)? - 5.0).abs() < 1e-3);
 /// # Ok::<(), odrl_rl::RlError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedTable {
     states: usize,
     actions: usize,
@@ -248,19 +248,6 @@ impl QuantizedTable {
     #[inline]
     pub(crate) fn value_at(&self, s: usize, a: usize) -> f64 {
         f64::from(self.bank[s * self.stride + a]) * f64::from(self.scales[s])
-    }
-
-    /// The padded lane row of state `s` (panics on out-of-range states
-    /// like any slice access). Used by the double-Q kernel scan.
-    #[inline]
-    pub(crate) fn lanes(&self, s: usize) -> &[i16] {
-        &self.bank[s * self.stride..(s + 1) * self.stride]
-    }
-
-    /// Row scale as `f64` without the bounds-checked `Result` wrapper.
-    #[inline]
-    pub(crate) fn scale_at(&self, s: usize) -> f64 {
-        f64::from(self.scales[s])
     }
 
     /// Grows row `s`'s scale (doubling) until `value` fits with half-range
@@ -536,7 +523,7 @@ fn quantize(value: f64, scale: f64) -> i16 {
 ///
 /// Kept as an enum (not a trait object) so the decide/learn hot paths
 /// dispatch with one match per call and stay allocation-free.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum QTableStorage {
     /// The `f64` reference layout.
     Scalar(QTable),

@@ -10,7 +10,7 @@
 
 use odrl_rl::kernel::{self, scan_row, scan_row_portable};
 use odrl_rl::{
-    Agent, Algorithm, DoubleAgent, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_AGENT,
+    Agent, Algorithm, EpsCache, QTableLayout, QTableStorage, Schedule, KIND_POLICY_SET,
     QUANT_LANES, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 use rand::rngs::StdRng;
@@ -124,9 +124,10 @@ fn snapshot_round_trip_is_bit_identical() {
 
 #[test]
 fn double_agent_snapshot_round_trips() {
-    let mut agent = DoubleAgent::builder(STATES, ACTIONS)
+    let mut agent = Agent::builder(STATES, ACTIONS)
         .gamma(0.9)
         .layout(QTableLayout::Quantized)
+        .double()
         .build()
         .unwrap();
     let mut rng = StdRng::seed_from_u64(17);
@@ -137,7 +138,7 @@ fn double_agent_snapshot_round_trips() {
         agent.update(s, a, r, s_next).unwrap();
         s = s_next;
     }
-    let restored = DoubleAgent::from_snapshot_bytes(&agent.snapshot_bytes()).unwrap();
+    let restored = Agent::from_snapshot_bytes(&agent.snapshot_bytes()).unwrap();
     assert_eq!(agent, restored);
 }
 
@@ -161,11 +162,12 @@ fn snapshot_rejects_corruption() {
         "version mismatch must be rejected"
     );
 
-    // Wrong kind: a DoubleAgent payload fed to Agent.
-    let double = DoubleAgent::builder(STATES, ACTIONS).build().unwrap();
+    // Wrong kind: a policy-set header over an agent payload.
+    let mut bad = good.clone();
+    bad[SNAPSHOT_MAGIC.len() + 4] = KIND_POLICY_SET;
     assert!(
-        Agent::from_snapshot_bytes(&double.snapshot_bytes()).is_err(),
-        "kind {KIND_AGENT} decoder must reject other kinds"
+        Agent::from_snapshot_bytes(&bad).is_err(),
+        "the agent decoder must reject kind {KIND_POLICY_SET}"
     );
 
     // Truncation anywhere in the payload.
