@@ -11,6 +11,7 @@
 //! chip-scoped fault plan in the loop.
 
 use odrl_bench::{ControllerKind, RunBuilder, Scenario};
+use odrl_core::MarketConfig;
 use odrl_faults::{BudgetFault, FaultKind, FaultPlan, SensorFault, Target};
 use odrl_fleet::{Fleet, RecorderConfig, WatermarkRule};
 use odrl_manycore::Parallelism;
@@ -176,4 +177,78 @@ fn dump_body_sections_parse_back() {
     let records = odrl_obs::read_fleet_jsonl(trace_part.as_bytes())
         .expect("dump trace section parses");
     assert!(!records.is_empty(), "dump trace window must carry events");
+}
+
+/// First epoch of the late budget-loss window. Far enough into the run
+/// that every trace ring sized to the recorder window has wrapped many
+/// times over before the recorder trips.
+const LATE_LOSS_START: u64 = 3000;
+const LATE_LOSS_LEN: u64 = 100;
+
+/// Trip epochs and the FNV-1a hash over every dump's bytes (in trip
+/// order) of [`late_trip_fleet`]'s run, captured with default-capacity
+/// trace rings.
+const GOLDEN_LATE_TRIP_EPOCHS: [u64; 2] = [3000, 3070];
+const GOLDEN_LATE_TRIP_HASH: u64 = 0x9d64_bb12_610d_b7c1;
+
+/// FNV-1a: cheap, stable, and sensitive to any bit difference.
+fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Two 64-core chips with the watchdog, the rack market and a recorder
+/// that only the late fleet-wide budget-loss window can trip.
+fn late_trip_fleet() -> Fleet {
+    let plan = FaultPlan::new().with_event(
+        FaultKind::Budget(BudgetFault::Lost),
+        Target::All,
+        LATE_LOSS_START,
+        LATE_LOSS_LEN,
+    );
+    let recorder = RecorderConfig {
+        // Above 0.5: an arbiter round and a market round that both send
+        // on one link in the same epoch already read as a 50 % loss.
+        rules: vec![WatermarkRule::BudgetLossSpike {
+            loss_rate: 0.9,
+            min_sent: 2,
+        }],
+        max_dumps: 2,
+        ..RecorderConfig::default()
+    };
+    RunBuilder::new(Scenario {
+        cores: 64,
+        budget_frac: 0.6,
+        epochs: 0,
+        mix: MixPolicy::RoundRobin,
+        seed: 11,
+        parallelism: Parallelism::Serial,
+    })
+    .controller(ControllerKind::OdRl)
+    .arbiter_period(10)
+    .market(MarketConfig::enabled())
+    .faults(plan)
+    .watchdog(true)
+    .recorder(recorder)
+    .build_fleet(2)
+    .expect("valid late-trip fleet configuration")
+}
+
+#[test]
+fn late_trip_dumps_match_golden() {
+    let mut fleet = late_trip_fleet();
+    fleet
+        .run(LATE_LOSS_START + LATE_LOSS_LEN)
+        .expect("late-trip run completes");
+    let dumps = fleet.anomaly_dumps();
+    let epochs: Vec<u64> = dumps.iter().map(|d| d.epoch).collect();
+    let hash = dumps
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, d| fnv1a(h, &d.bytes));
+    assert_eq!(
+        (epochs.as_slice(), hash),
+        (&GOLDEN_LATE_TRIP_EPOCHS[..], GOLDEN_LATE_TRIP_HASH),
+        "late-trip dumps drifted: trip epochs {epochs:?}, hash {hash:#018x}"
+    );
 }
