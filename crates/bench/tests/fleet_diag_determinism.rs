@@ -15,7 +15,7 @@ use odrl_core::MarketConfig;
 use odrl_faults::{BudgetFault, FaultKind, FaultPlan, SensorFault, Target};
 use odrl_fleet::{Fleet, RecorderConfig, WatermarkRule};
 use odrl_manycore::Parallelism;
-use odrl_obs::MetricsSnapshot;
+use odrl_obs::{Event, MetricsSnapshot};
 use odrl_workload::MixPolicy;
 
 const CHIPS: usize = 4;
@@ -241,6 +241,15 @@ fn late_trip_dumps_match_golden() {
     fleet
         .run(LATE_LOSS_START + LATE_LOSS_LEN)
         .expect("late-trip run completes");
+    // The system rings, sized to the recorder window, wrapped long before
+    // the trip: epoch 0's boundary marker is gone from the trace.
+    assert!(
+        !fleet
+            .merged_trace()
+            .iter()
+            .any(|r| r.record.epoch == 0 && matches!(r.record.event, Event::Epoch { .. })),
+        "the late trip must come after the trace rings wrapped"
+    );
     let dumps = fleet.anomaly_dumps();
     let epochs: Vec<u64> = dumps.iter().map(|d| d.epoch).collect();
     let hash = dumps

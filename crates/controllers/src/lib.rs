@@ -115,6 +115,14 @@ pub trait PowerController {
         let _ = out;
     }
 
+    /// The first epoch from which [`PowerController::extend_trace_into`]
+    /// still yields every record the controller made: 0 until one of its
+    /// trace rings wraps. The default — and the baselines, which record
+    /// nothing — is 0.
+    fn trace_complete_from(&self) -> u64 {
+        0
+    }
+
     /// The controller's most recent per-epoch metrics snapshot, when it is
     /// instrumented (see `odrl-obs`). The default — and the baselines,
     /// which keep no metrics — report `None`.

@@ -1102,6 +1102,10 @@ impl PowerController for OdRlController {
         OdRlController::extend_trace_into(self, out);
     }
 
+    fn trace_complete_from(&self) -> u64 {
+        self.tracer.as_deref().map_or(0, CtrlTracer::complete_from)
+    }
+
     fn metrics_snapshot(&self) -> Option<&odrl_obs::MetricsSnapshot> {
         self.tracer.as_deref().map(CtrlTracer::last_snapshot)
     }
@@ -1301,6 +1305,59 @@ mod tests {
         }
         assert_eq!(counts[0], counts[1]);
         assert_eq!(traces[0], traces[1], "merged trace must not depend on shard count");
+    }
+
+    #[test]
+    fn shard_rings_stay_within_max_records_per_epoch() {
+        use odrl_manycore::Parallelism;
+        use odrl_obs::ObsConfig;
+        use odrl_rl::Schedule;
+
+        // ε = 1: every core explores, and records an RL choice, every
+        // epoch — the shard rings' maximum rate.
+        let cores = 16;
+        let sys_config = SystemConfig::builder()
+            .cores(cores)
+            .seed(5)
+            .build()
+            .unwrap();
+        let budget = Watts::new(0.5 * sys_config.max_power().value());
+        let mut system = System::new(sys_config).unwrap();
+        let mut ctrl = OdRlController::new(
+            OdRlConfig {
+                epsilon: Schedule::Constant { value: 1.0 },
+                parallelism: Parallelism::Threads(2),
+                obs: ObsConfig::enabled(),
+                ..OdRlConfig::default()
+            },
+            &system.spec(),
+            budget,
+        )
+        .unwrap();
+        let max = CtrlTracer::max_records_per_epoch(cores);
+        let held = |c: &OdRlController| -> Vec<usize> {
+            c.tracer()
+                .unwrap()
+                .shard_rings()
+                .iter()
+                .map(|r| r.lock().unwrap().len())
+                .collect()
+        };
+        let mut out = vec![LevelId(0); cores];
+        let mut before = held(&ctrl);
+        let mut total = 0;
+        for _ in 0..20 {
+            let obs = system.observation(budget);
+            ctrl.decide_into(&obs, &mut out);
+            system.step(&out).unwrap();
+            let after = held(&ctrl);
+            for (b, a) in before.iter().zip(&after) {
+                assert!(a - b <= max, "{} records > {max}", a - b);
+                total += a - b;
+            }
+            before = after;
+        }
+        assert!(total > 0, "ε = 1 must record RL choices");
     }
 
     #[test]

@@ -93,7 +93,6 @@ impl CtrlTracer {
     /// Preallocates a tracer for `cores` cores split over at most
     /// `max_shards` RL shards.
     pub fn new(config: &ObsConfig, cores: usize, max_shards: usize) -> Self {
-        let cap = config.effective_ring_capacity();
         let mut metrics = MetricsRegistry::new();
         let h_decide_ns = metrics
             .histogram("decide_latency_ns", 0.0, 1e7, 64)
@@ -145,9 +144,9 @@ impl CtrlTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: TraceRing::with_capacity(cap),
+            ring: config.build_ring(),
             shard_rings: (0..max_shards.max(1))
-                .map(|_| Mutex::new(TraceRing::with_capacity(cap)))
+                .map(|_| Mutex::new(config.build_ring()))
                 .collect(),
             metrics,
             h_decide_ns,
@@ -189,6 +188,16 @@ impl CtrlTracer {
                 0
             },
         }
+    }
+
+    /// Most records one epoch can add to any one ring on a `cores`-core
+    /// chip. Serial ring: a stale and a dead flip per core plus the chip
+    /// dark flip ([`CtrlTracer::record_watchdog`]), an overshoot edge
+    /// ([`CtrlTracer::record_power`]), a reallocation, a redistribution
+    /// and three market events — `2·cores + 7`. A shard ring gets at most
+    /// one RL choice per core, which the same bound covers.
+    pub const fn max_records_per_epoch(cores: usize) -> usize {
+        2 * cores + 7
     }
 
     /// Diffs the watchdog's flags against last epoch, recording one
@@ -446,6 +455,15 @@ impl CtrlTracer {
             .sum()
     }
 
+    /// The first epoch from which every ring — serial and per-shard —
+    /// still holds every record (see [`TraceRing::complete_from`]).
+    pub fn complete_from(&self) -> u64 {
+        self.shard_rings
+            .iter()
+            .map(|r| r.lock().map_or(0, |ring| ring.complete_from()))
+            .fold(self.ring.complete_from(), u64::max)
+    }
+
     /// Appends every held record — serial ring first, then each shard
     /// ring — onto `out`. Pass the result through
     /// `odrl_obs::merge_records` for the canonical order.
@@ -526,6 +544,71 @@ impl Clone for CtrlTracer {
                 .collect(),
             epoch_diag: self.epoch_diag,
             diag_period: self.diag_period,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::watchdog::WatchdogConfig;
+    use odrl_manycore::{System, SystemConfig};
+    use odrl_power::Watts;
+
+    /// The serial ring. One-epoch watchdog thresholds make every core go
+    /// stale in epoch 0 and then dead in epoch 1 (a stale and a dead flip
+    /// per core) while the chip meter goes dark and recovers; the chip
+    /// crosses its budget, reallocates, redistributes and trades in the
+    /// market every epoch. (The shard rings are covered by the
+    /// controller's `shard_rings_stay_within_max_records_per_epoch`.)
+    #[test]
+    fn one_epoch_never_exceeds_max_records_per_epoch() {
+        let cores = 8;
+        let system = System::new(SystemConfig::builder().cores(cores).build().unwrap()).unwrap();
+        let mut obs = system.observation(Watts::new(1.0));
+        let mut wd = SensorWatchdog::new(
+            WatchdogConfig {
+                stale_epochs: 1,
+                dead_epochs: 1,
+                dark_epochs: 1,
+                ..WatchdogConfig::enabled()
+            },
+            cores,
+        );
+        let mut tracer = CtrlTracer::new(&ObsConfig::enabled(), cores, 1);
+        let round = MarketRound {
+            donated_w: 1.0,
+            granted_w: 1.0,
+            residual_w: 0.0,
+            pool_peak_w: 1.0,
+            donors: 1,
+            applicants: 1,
+            grants: 1,
+            prediction_abs_err_w: 1.0,
+        };
+        let max = CtrlTracer::max_records_per_epoch(cores);
+        let mut held = 0;
+        for epoch in 0..2 {
+            // Epoch 0: zero power while running (stale, chip dark).
+            // Epoch 1: zero power and zero IPS (dead, meter back to idle).
+            for core in &mut obs.cores {
+                core.power = Watts::ZERO;
+                core.ips = if epoch == 0 { 1e9 } else { 0.0 };
+            }
+            obs.total_power = Watts::ZERO;
+            wd.observe(&obs);
+            tracer.record_watchdog(epoch, &wd);
+            let power = if epoch == 0 { 2.0 } else { 0.5 };
+            tracer.record_power(epoch, power, 1.0);
+            tracer.record_realloc(epoch, 1.0);
+            tracer.record_redistribution(epoch, 1.0);
+            tracer.record_market(epoch, &round);
+            let added = tracer.ring.len() - held;
+            held = tracer.ring.len();
+            assert!(added <= max, "epoch {epoch}: {added} records > {max}");
+            if epoch == 1 {
+                assert_eq!(added, max, "epoch 1 drives every site at its maximum rate");
+            }
         }
     }
 }

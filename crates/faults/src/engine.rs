@@ -21,6 +21,12 @@ use rand::{Rng, SeedableRng};
 /// the command-history ring buffer.
 pub const MAX_DELAY_EPOCHS: u64 = 4096;
 
+/// The longest [`RandomBurst`](crate::RandomBurst) generation window
+/// (`end - start`) a plan may request, in epochs. Expansion draws once per
+/// core per window epoch, so this bounds compile time: about 3 ms per core
+/// at the limit.
+pub const MAX_BURST_WINDOW_EPOCHS: u64 = 1 << 20;
+
 /// One resolved fault window over a contiguous core range (or the chip
 /// sensor).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -71,8 +77,9 @@ impl FaultEngine {
     /// # Errors
     ///
     /// Returns [`FaultError::InvalidPlan`] for out-of-range targets,
-    /// non-finite parameters, chip-targeted non-sensor faults, or delays
-    /// beyond [`MAX_DELAY_EPOCHS`].
+    /// non-finite parameters, chip-targeted non-sensor faults, delays
+    /// beyond [`MAX_DELAY_EPOCHS`], or burst windows longer than
+    /// [`MAX_BURST_WINDOW_EPOCHS`].
     pub fn compile(plan: &FaultPlan, cores: usize, seed: u64) -> Result<Self, FaultError> {
         Self::compile_for_chip(plan, 0, cores, seed)
     }
@@ -131,6 +138,15 @@ impl FaultEngine {
                 return Err(FaultError::InvalidPlan {
                     field: "burst window",
                     reason: format!("end {} before start {}", burst.end, burst.start),
+                });
+            }
+            if burst.end - burst.start > MAX_BURST_WINDOW_EPOCHS {
+                return Err(FaultError::InvalidPlan {
+                    field: "burst window",
+                    reason: format!(
+                        "{} epochs exceeds the {MAX_BURST_WINDOW_EPOCHS}-epoch limit",
+                        burst.end - burst.start
+                    ),
                 });
             }
             let p = (burst.rate_per_kepoch / 1000.0).min(1.0);
@@ -789,6 +805,30 @@ mod tests {
             }],
         };
         assert!(FaultEngine::compile(&bad, 8, 1).is_err());
+    }
+
+    #[test]
+    fn unbounded_burst_window_is_rejected_promptly() {
+        let json = r#"{"bursts":[{"kind":{"Sensor":"StuckZero"},"start":0,
+            "end":18446744073709551615,"rate_per_kepoch":1.0,"duration":1}]}"#;
+        let plan: FaultPlan = serde_json::from_str(json).unwrap();
+        let t0 = std::time::Instant::now();
+        let err = FaultEngine::compile(&plan, 64, 1).unwrap_err();
+        assert!(err.to_string().contains("burst window"), "{err}");
+        assert!(t0.elapsed().as_secs_f64() < 0.5, "took {:?}", t0.elapsed());
+        // The limit itself is accepted; one epoch more is not.
+        let burst = |end| RandomBurst {
+            kind: FaultKind::Sensor(SensorFault::StuckZero),
+            start: 5,
+            end,
+            rate_per_kepoch: 0.0,
+            duration: 1,
+            chip: ChipScope::All,
+        };
+        let ok = FaultPlan::new().with_burst(burst(5 + MAX_BURST_WINDOW_EPOCHS));
+        assert!(FaultEngine::compile(&ok, 1, 1).is_ok());
+        let long = FaultPlan::new().with_burst(burst(6 + MAX_BURST_WINDOW_EPOCHS));
+        assert!(FaultEngine::compile(&long, 1, 1).is_err());
     }
 
     #[test]

@@ -10,13 +10,12 @@
 use crate::config::FleetConfig;
 use crate::error::FleetError;
 use crate::fleet::Fleet;
-use crate::scenario::{build_controller, ControllerKind, Scenario};
+use crate::scenario::{build_controller, load_warm_start, ChipWiring, ControllerKind, Scenario};
 use odrl_controllers::PowerController;
-use odrl_core::{MarketConfig, OdRlConfig, WatchdogConfig};
+use odrl_core::{MarketConfig, OdRlConfig};
 use odrl_faults::FaultPlan;
 use odrl_manycore::{Parallelism, System};
-use odrl_core::PolicySnapshot;
-use odrl_obs::{ObsConfig, RecorderConfig};
+use odrl_obs::RecorderConfig;
 use odrl_power::Watts;
 use std::path::PathBuf;
 
@@ -151,7 +150,11 @@ impl RunBuilder {
     /// Attach the anomaly-triggered flight recorder at rack scope (fleet
     /// builds only). Implies [`RunBuilder::diag`] (and so
     /// [`RunBuilder::obs`]). Pass `RecorderConfig::default()` for the
-    /// stock watermark rules.
+    /// stock watermark rules. The recorder is the only reader of a
+    /// fleet's trace, so every chip's trace rings are sized to hold its
+    /// window plus one epoch (`RecorderConfig::ring_capacity`) instead of
+    /// the default capacity: [`Fleet::merged_trace`] then holds at least
+    /// the last `window + 1` epochs, not the whole run.
     #[must_use]
     pub fn recorder(mut self, config: RecorderConfig) -> Self {
         self.recorder = Some(config);
@@ -223,37 +226,23 @@ impl RunBuilder {
     /// controller configurations.
     pub fn build_chip(self) -> Result<ChipRun, FleetError> {
         let mut config = self.scenario.try_system_config()?;
-        if self.obs {
-            config.obs = ObsConfig::enabled();
+        let mut odrl = self.odrl;
+        ChipWiring {
+            watchdog: self.watchdog,
+            obs: self.obs,
+            diag: self.diag,
+            recorder: None,
         }
+        .apply(&mut config, &mut odrl);
         let budget = Watts::new(self.scenario.budget_frac * config.max_power().value());
         let mut system = System::new(config)?;
         if let Some(plan) = &self.plan {
             system.attach_faults(plan)?;
         }
-        let mut odrl = self.odrl;
-        odrl.parallelism = self.scenario.parallelism;
-        if self.watchdog {
-            odrl.watchdog = WatchdogConfig::enabled();
-        }
-        if self.diag {
-            odrl.obs = ObsConfig::with_diagnostics();
-        } else if self.obs {
-            odrl.obs = ObsConfig::enabled();
-        }
         if let Some(market) = self.market {
             odrl.market = market;
         }
-        let warm = self
-            .warm_start
-            .as_ref()
-            .map(|path| {
-                PolicySnapshot::load(path).map_err(|e| FleetError::InvalidConfig {
-                    field: "warm_start",
-                    reason: format!("cannot load snapshot from {}: {e}", path.display()),
-                })
-            })
-            .transpose()?;
+        let warm = load_warm_start(self.warm_start.as_deref())?;
         let controller =
             build_controller(self.kind, &system, budget, odrl, self.watchdog, warm.as_ref())?;
         Ok(ChipRun {

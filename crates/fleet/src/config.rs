@@ -51,7 +51,10 @@ pub struct FleetConfig {
     /// epoch a [`HealthSample`](odrl_obs::HealthSample) derived from the
     /// aggregated metrics is checked against the configured watermark
     /// rules, and a trip dumps the last-window merged trace plus the
-    /// combined metrics snapshot. Requires [`FleetConfig::diag`].
+    /// combined metrics snapshot. Requires [`FleetConfig::diag`]. Sizes
+    /// every chip's trace rings to the window plus one epoch
+    /// ([`RecorderConfig::ring_capacity`]) instead of the default ring
+    /// capacity, since the recorder is the only reader of the trace.
     pub recorder: Option<RecorderConfig>,
     /// Epochs between fleet budget reallocation rounds. Deliberately
     /// coarser than the intra-chip reallocation period by default: the

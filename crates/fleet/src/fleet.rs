@@ -29,16 +29,16 @@
 use crate::arbiter::BudgetArbiter;
 use crate::config::FleetConfig;
 use crate::error::FleetError;
-use crate::scenario::build_controller;
+use crate::scenario::{build_controller, load_warm_start, ChipWiring};
 use odrl_controllers::PowerController;
-use odrl_core::{MarketAllocator, MarketRound, MarketScratch, PolicySnapshot, WatchdogConfig};
+use odrl_core::{MarketAllocator, MarketRound, MarketScratch};
 use odrl_faults::{BudgetChannel, FaultEngine};
 use odrl_manycore::parallel::{shard_chunks, stream_seed};
 use odrl_manycore::{Observation, Parallelism, System, SystemError, Telemetry};
 use odrl_obs::{
     merge_fleet_records, write_fleet_jsonl, AnomalyDump, AnomalyKind, CounterId, Event,
     EventRecord, FleetEventRecord, FleetMetrics, FlightRecorder, GaugeId, HealthSample,
-    MetricsSnapshot, ObsConfig, RecorderConfig, TraceRing, RACK,
+    MetricsSnapshot, RecorderConfig, TraceRing, RACK,
 };
 use odrl_power::{Joules, LevelId, Seconds, Watts};
 use serde::Serialize;
@@ -247,10 +247,13 @@ struct FleetObs {
     prev_td_max: f64,
     /// Scratch for assembling a dump's merged trace window.
     trace_scratch: Vec<FleetEventRecord>,
+    /// Whether every chip's trace rings were sized to hold the recorder's
+    /// window (see `ChipWiring::apply`), so a dump must find it whole.
+    window_held: bool,
 }
 
 impl FleetObs {
-    fn new(recorder: Option<RecorderConfig>) -> Self {
+    fn new(recorder: Option<RecorderConfig>, window_held: bool) -> Self {
         let mut metrics = FleetMetrics::new();
         let reg = metrics.rack_mut();
         let ids = RackIds {
@@ -273,6 +276,7 @@ impl FleetObs {
             prev_flips: 0,
             prev_td_max: 0.0,
             trace_scratch: Vec::new(),
+            window_held,
         }
     }
 }
@@ -321,10 +325,7 @@ impl Fleet {
         for k in 0..n {
             let mut scenario = config.scenario.clone();
             scenario.seed = stream_seed(config.scenario.seed, k as u64);
-            let mut sys_config = scenario.try_system_config()?;
-            if config.obs {
-                sys_config.obs = ObsConfig::enabled();
-            }
+            let sys_config = scenario.try_system_config()?;
             fleet_max += sys_config.max_power().value();
             sys_configs.push(sys_config);
         }
@@ -357,31 +358,21 @@ impl Fleet {
             })?;
         // Warm start: load the snapshot once; every chip imports a copy of
         // the same learned tables (exploration stays decorrelated by seed).
-        let warm = config
-            .warm_start
-            .as_ref()
-            .map(|path| {
-                PolicySnapshot::load(path).map_err(|e| FleetError::InvalidConfig {
-                    field: "warm_start",
-                    reason: format!("cannot load snapshot from {}: {e}", path.display()),
-                })
-            })
-            .transpose()?;
+        let warm = load_warm_start(config.warm_start.as_deref())?;
+        let wiring = ChipWiring {
+            watchdog: config.watchdog,
+            obs: config.obs,
+            diag: config.diag,
+            recorder: config.recorder.as_ref(),
+        };
+        let mut window_held = false;
         let mut chips = Vec::with_capacity(n);
-        for (k, sys_config) in sys_configs.into_iter().enumerate() {
+        for (k, mut sys_config) in sys_configs.into_iter().enumerate() {
+            let mut odrl = config.odrl.clone();
+            window_held = wiring.apply(&mut sys_config, &mut odrl);
             let mut system = System::new(sys_config)?;
             if let Some(plan) = &config.plan {
                 system.attach_faults_for_chip(plan, k as u32)?;
-            }
-            let mut odrl = config.odrl.clone();
-            odrl.parallelism = config.scenario.parallelism;
-            if config.watchdog {
-                odrl.watchdog = WatchdogConfig::enabled();
-            }
-            if config.diag {
-                odrl.obs = ObsConfig::with_diagnostics();
-            } else if config.obs {
-                odrl.obs = ObsConfig::enabled();
             }
             // Decorrelate exploration across chips (uniformly, so a
             // one-chip fleet is still a fleet, not a disguised chip run).
@@ -422,7 +413,9 @@ impl Fleet {
             parallelism: config.parallelism,
             epoch: 0,
             telemetry: FleetTelemetry::default(),
-            obs: config.diag.then(|| FleetObs::new(config.recorder.clone())),
+            obs: config
+                .diag
+                .then(|| FleetObs::new(config.recorder.clone(), window_held)),
         })
     }
 
@@ -717,6 +710,16 @@ impl Fleet {
                         .map(|record| FleetEventRecord { chip: RACK, record }),
                 );
                 let cutoff = (epoch + 1).saturating_sub(window);
+                // Rings sized to the window must still hold all of it: a
+                // ring that dropped records reaches back before `cutoff`.
+                debug_assert!(
+                    !fo.window_held
+                        || self.chips.iter().all(|c| {
+                            c.system.trace_complete_from() <= cutoff
+                                && c.controller.trace_complete_from() <= cutoff
+                        }),
+                    "a trace ring lost records inside the dump window"
+                );
                 fo.trace_scratch.retain(|r| r.record.epoch >= cutoff);
                 merge_fleet_records(&mut fo.trace_scratch);
                 write_fleet_jsonl(&mut bytes, &fo.trace_scratch)
@@ -799,7 +802,10 @@ impl Fleet {
 
     /// Every chip's structured-event records in the canonical fleet merge
     /// order `(epoch, chip, rank, core)` — bit-identical at every shard
-    /// count. Post-run export path — allocates.
+    /// count. Post-run export path — allocates. On a recorder fleet the
+    /// chips' rings are sized to the recorder's window, so this holds at
+    /// least the last `window + 1` epochs rather than the whole run (see
+    /// [`FleetConfig::recorder`]).
     pub fn merged_trace(&self) -> Vec<FleetEventRecord> {
         let mut records = Vec::new();
         self.extend_trace_into(&mut records);

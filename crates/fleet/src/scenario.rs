@@ -11,11 +11,15 @@ use odrl_controllers::{
     MaxBips, MaxBipsMode, OndemandGovernor, OndemandTuning, PidController, PidGains,
     PowerController, PriorityGreedy, StaticUniform, SteepestDrop,
 };
-use odrl_core::{HierarchicalOdRl, OdRlConfig, OdRlController, PolicySnapshot};
-use odrl_manycore::{Parallelism, System, SystemConfig, SystemError, SystemSpec};
+use odrl_core::{
+    CtrlTracer, HierarchicalOdRl, OdRlConfig, OdRlController, PolicySnapshot, WatchdogConfig,
+};
+use odrl_manycore::{Parallelism, SysTracer, System, SystemConfig, SystemError, SystemSpec};
+use odrl_obs::{ObsConfig, RecorderConfig};
 use odrl_power::Watts;
 use odrl_workload::MixPolicy;
 use std::fmt;
+use std::path::Path;
 
 /// One experiment run: system size, workload, budget and length.
 #[derive(Debug, Clone)]
@@ -238,6 +242,66 @@ impl ControllerKind {
             Self::OdRlHier => Box::new(HierarchicalOdRl::new(odrl, spec, budget, 16)?),
         })
     }
+}
+
+/// The per-chip observability and degradation switches, wired into a
+/// chip's configs the same way by
+/// [`RunBuilder::build_chip`](crate::RunBuilder::build_chip) and
+/// [`Fleet::new`](crate::Fleet::new).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChipWiring<'a> {
+    pub(crate) watchdog: bool,
+    pub(crate) obs: bool,
+    pub(crate) diag: bool,
+    /// The rack flight recorder, on a recorder fleet.
+    pub(crate) recorder: Option<&'a RecorderConfig>,
+}
+
+impl ChipWiring<'_> {
+    /// Applies the switches to one chip's system and OD-RL configs and
+    /// runs the controller at the system's intra-chip parallelism. On a
+    /// recorder fleet every trace ring is sized to hold the recorder's
+    /// window plus one epoch ([`RecorderConfig::ring_capacity`]) instead
+    /// of the default capacity. Returns whether both tracers' rings were
+    /// sized that way: `false` without a recorder, or when the window
+    /// outgrows the default ring.
+    pub(crate) fn apply(self, sys: &mut SystemConfig, odrl: &mut OdRlConfig) -> bool {
+        odrl.parallelism = sys.parallelism;
+        if self.watchdog {
+            odrl.watchdog = WatchdogConfig::enabled();
+        }
+        if self.obs {
+            sys.obs = ObsConfig::enabled();
+        }
+        if self.diag {
+            odrl.obs = ObsConfig::with_diagnostics();
+        } else if self.obs {
+            odrl.obs = ObsConfig::enabled();
+        }
+        let Some(rec) = self.recorder else {
+            return false;
+        };
+        let sys_cap = rec.ring_capacity(SysTracer::max_records_per_epoch(sys.cores));
+        let ctrl_cap = rec.ring_capacity(CtrlTracer::max_records_per_epoch(sys.cores));
+        if let Some(cap) = sys_cap {
+            sys.obs.ring_capacity = cap;
+        }
+        if let Some(cap) = ctrl_cap {
+            odrl.obs.ring_capacity = cap;
+        }
+        sys_cap.is_some() && ctrl_cap.is_some()
+    }
+}
+
+/// Loads the warm-start snapshot, when a path is given.
+pub(crate) fn load_warm_start(path: Option<&Path>) -> Result<Option<PolicySnapshot>, FleetError> {
+    path.map(|path| {
+        PolicySnapshot::load(path).map_err(|e| FleetError::InvalidConfig {
+            field: "warm_start",
+            reason: format!("cannot load snapshot from {}: {e}", path.display()),
+        })
+    })
+    .transpose()
 }
 
 /// Builds the controller for an already-built system, wiring the OD-RL

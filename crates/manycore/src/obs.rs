@@ -48,7 +48,7 @@ impl SysTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: TraceRing::with_capacity(config.effective_ring_capacity()),
+            ring: config.build_ring(),
             prev_mask: vec![0; cores],
             prev_chip_mask: 0,
             metrics,
@@ -58,6 +58,15 @@ impl SysTracer {
             c_vf,
             snapshot,
         }
+    }
+
+    /// Most records one epoch can add to the ring on a `cores`-core chip:
+    /// an inject or clear edge per fault class on every core and on the
+    /// chip ([`SysTracer::record_fault_edges`]), one VF switch per core
+    /// ([`SysTracer::record_vf`]) and the epoch marker
+    /// ([`SysTracer::record_epoch`]) — `7·cores + 7`.
+    pub const fn max_records_per_epoch(cores: usize) -> usize {
+        FaultClass::ALL.len() * (cores + 1) + cores + 1
     }
 
     /// Diffs the fault schedule's per-core and chip class masks against
@@ -140,6 +149,61 @@ impl SysTracer {
             faults_injected: self.metrics.counter_value(self.c_injected),
             faults_cleared: self.metrics.counter_value(self.c_cleared),
             ..EventCounts::default()
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use odrl_faults::{
+        ActuatorFault, BudgetFault, CoreFault, FaultEngine, FaultKind, FaultPlan, SensorFault,
+        Target,
+    };
+
+    /// Every fault class opens on every core and on the chip in epoch 1
+    /// and closes in epoch 2, while every core switches level each epoch:
+    /// the most records the recording sites can add in one epoch.
+    #[test]
+    fn one_epoch_never_exceeds_max_records_per_epoch() {
+        let cores = 8;
+        let plan = [
+            FaultKind::Sensor(SensorFault::StuckZero),
+            FaultKind::Actuator(ActuatorFault::Dropped),
+            FaultKind::Budget(BudgetFault::Lost),
+            FaultKind::Core(CoreFault::Unplug),
+            FaultKind::Core(CoreFault::Throttle { max_level: 0 }),
+        ]
+        .into_iter()
+        .fold(FaultPlan::new(), |p, kind| {
+            p.with_event(kind, Target::All, 1, 1)
+        })
+        .with_event(
+            FaultKind::Sensor(SensorFault::StuckZero),
+            Target::Chip,
+            1,
+            1,
+        );
+        let engine = FaultEngine::compile(&plan, cores, 1).unwrap();
+        let mut state = engine.state();
+        let mut tracer = SysTracer::new(&ObsConfig::enabled(), cores);
+        let max = SysTracer::max_records_per_epoch(cores);
+        assert_eq!(max, 7 * cores + 7);
+        let mut held = 0;
+        for epoch in 0..4 {
+            engine.begin_epoch(epoch, &mut state);
+            tracer.record_fault_edges(epoch, Some(&state));
+            for i in 0..cores {
+                tracer.record_vf(epoch, i as u32, (epoch % 2) as u8);
+            }
+            tracer.record_epoch(epoch, 1.0);
+            let added = tracer.ring().len() - held;
+            held = tracer.ring().len();
+            assert!(added <= max, "epoch {epoch}: {added} records > {max}");
+            if epoch == 1 {
+                // Five per-core classes plus the chip sensor open.
+                assert_eq!(added, 5 * cores + 1 + cores + 1);
+            }
         }
     }
 }

@@ -280,6 +280,13 @@ impl System {
         }
     }
 
+    /// The first epoch from which [`System::extend_trace_into`] still
+    /// yields every system-side record: 0 until the ring wraps (or with
+    /// tracing disabled).
+    pub fn trace_complete_from(&self) -> u64 {
+        self.tracer.as_deref().map_or(0, |tr| tr.ring().complete_from())
+    }
+
     /// The report of the most recently executed epoch, if any.
     pub fn last_report(&self) -> Option<&EpochReport> {
         self.last_report.as_ref()

@@ -21,6 +21,7 @@
 //! merged traces and snapshots — so dump bytes are identical at any shard
 //! count.
 
+use crate::config::DEFAULT_RING_CAPACITY;
 use crate::event::AnomalyKind;
 
 /// One declarative watermark rule for the flight recorder.
@@ -99,6 +100,23 @@ impl Default for RecorderConfig {
             cooldown: 64,
             max_dumps: 4,
         }
+    }
+}
+
+impl RecorderConfig {
+    /// The trace-ring capacity that keeps this recorder's dumps whole on a
+    /// ring receiving at most `records_per_epoch` records an epoch:
+    /// `(window + 1) × records_per_epoch`. The extra epoch covers a
+    /// wrapped ring's oldest held epoch, which may have lost records.
+    /// `None` when that exceeds [`DEFAULT_RING_CAPACITY`]: the ring then
+    /// keeps the default capacity, and a dump holds what the default ring
+    /// holds.
+    pub fn ring_capacity(&self, records_per_epoch: usize) -> Option<usize> {
+        let cap = self
+            .window
+            .checked_add(1)?
+            .checked_mul(records_per_epoch as u64)?;
+        (cap <= DEFAULT_RING_CAPACITY as u64).then_some(cap as usize)
     }
 }
 
@@ -261,6 +279,18 @@ mod tests {
             epoch,
             ..HealthSample::default()
         }
+    }
+
+    #[test]
+    fn ring_capacity_holds_the_window_plus_one_epoch() {
+        let rec = RecorderConfig::default();
+        assert_eq!(rec.ring_capacity(455), Some(33 * 455));
+        let long = RecorderConfig {
+            window: u64::MAX,
+            ..RecorderConfig::default()
+        };
+        assert_eq!(long.ring_capacity(1), None);
+        assert_eq!(rec.ring_capacity(DEFAULT_RING_CAPACITY), None);
     }
 
     #[test]

@@ -37,6 +37,26 @@ impl TraceRing {
         }
     }
 
+    /// Like [`TraceRing::with_capacity`], but writes every slot once so
+    /// the whole buffer is resident before the first record: recording
+    /// then never takes a first-touch page fault on the hot path. Costs
+    /// one pass over the buffer (and its full size in resident memory) at
+    /// construction.
+    pub fn prefaulted(capacity: usize) -> Self {
+        let mut ring = Self::with_capacity(capacity);
+        let blank = EventRecord {
+            epoch: 0,
+            core: 0,
+            seq: 0,
+            event: Event::Epoch { power_w: 0.0 },
+        };
+        ring.buf.resize(ring.cap, blank);
+        // Keep the stores: they exist only to fault the pages in.
+        std::hint::black_box(&mut ring.buf);
+        ring.buf.clear();
+        ring
+    }
+
     /// Records one event. Allocation-free: the slot was reserved at
     /// construction, and a full ring overwrites its oldest record.
     #[inline]
@@ -77,6 +97,18 @@ impl TraceRing {
     /// counts).
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// The first epoch from which the ring still holds every record it
+    /// was given: 0 while it has never wrapped, otherwise the epoch after
+    /// its oldest held record (whose own epoch may have lost records).
+    /// Assumes records arrive in non-decreasing epoch order, as every
+    /// recording site produces them.
+    pub fn complete_from(&self) -> u64 {
+        match self.iter().next() {
+            Some(oldest) if self.dropped > 0 => oldest.epoch + 1,
+            _ => 0,
+        }
     }
 
     /// Appends the held records, oldest → newest, onto `out`.
@@ -139,6 +171,27 @@ mod tests {
     }
 
     #[test]
+    fn complete_from_follows_the_oldest_held_epoch() {
+        let mut r = TraceRing::with_capacity(4);
+        for epoch in 0..2 {
+            r.record(epoch, 0, ev(0.0));
+            r.record(epoch, 1, ev(0.0));
+        }
+        assert_eq!(
+            r.complete_from(),
+            0,
+            "a full ring that never wrapped is complete"
+        );
+        // Epoch 2's first record evicts one of epoch 0's: epoch 0 is now
+        // partial, epochs 1.. are whole.
+        r.record(2, 0, ev(0.0));
+        assert_eq!(r.complete_from(), 1);
+        // Conservative: the ring cannot tell that epoch 1 is still whole.
+        r.record(2, 1, ev(0.0));
+        assert_eq!(r.complete_from(), 2);
+    }
+
+    #[test]
     fn recording_never_allocates_past_construction() {
         let mut r = TraceRing::with_capacity(8);
         let cap_before = r.buf.capacity();
@@ -146,6 +199,17 @@ mod tests {
             r.record(i, 1, ev(0.0));
         }
         assert_eq!(r.buf.capacity(), cap_before);
+    }
+
+    #[test]
+    fn prefaulted_ring_starts_empty_with_its_buffer_reserved() {
+        let mut r = TraceRing::prefaulted(8);
+        assert!(r.is_empty());
+        assert_eq!(r.buf.capacity(), 8);
+        for i in 0..10 {
+            r.record(i, 0, ev(0.0));
+        }
+        assert_eq!((r.len(), r.dropped(), r.buf.capacity()), (8, 2, 8));
     }
 
     #[test]
