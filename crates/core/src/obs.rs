@@ -93,6 +93,7 @@ impl CtrlTracer {
     /// Preallocates a tracer for `cores` cores split over at most
     /// `max_shards` RL shards.
     pub fn new(config: &ObsConfig, cores: usize, max_shards: usize) -> Self {
+        let cap = config.effective_ring_capacity();
         let mut metrics = MetricsRegistry::new();
         let h_decide_ns = metrics
             .histogram("decide_latency_ns", 0.0, 1e7, 64)
@@ -144,9 +145,9 @@ impl CtrlTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: config.build_ring(),
+            ring: TraceRing::with_capacity(cap),
             shard_rings: (0..max_shards.max(1))
-                .map(|_| Mutex::new(config.build_ring()))
+                .map(|_| Mutex::new(TraceRing::with_capacity(cap)))
                 .collect(),
             metrics,
             h_decide_ns,

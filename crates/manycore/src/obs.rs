@@ -48,7 +48,7 @@ impl SysTracer {
         let mut snapshot = MetricsSnapshot::new();
         metrics.snapshot_into(0, &mut snapshot);
         Self {
-            ring: config.build_ring(),
+            ring: TraceRing::with_capacity(config.effective_ring_capacity()),
             prev_mask: vec![0; cores],
             prev_chip_mask: 0,
             metrics,

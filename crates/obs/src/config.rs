@@ -1,6 +1,5 @@
 //! Observability configuration and the aggregate event-count summary.
 
-use crate::ring::TraceRing;
 use serde::{Deserialize, Serialize};
 
 /// Ring capacity used when [`ObsConfig::ring_capacity`] is 0 ("default").
@@ -21,10 +20,9 @@ pub struct ObsConfig {
     /// Whether structured tracing + metrics are recorded.
     #[serde(default)]
     pub enabled: bool,
-    /// Per-ring record capacity; 0 means [`DEFAULT_RING_CAPACITY`], whose
-    /// rings are pre-touched at construction (see
-    /// [`ObsConfig::build_ring`]). Rings never grow: once full they
-    /// overwrite their oldest records. A fleet with a flight recorder
+    /// Per-ring record capacity; 0 means [`DEFAULT_RING_CAPACITY`].
+    /// Rings never grow: once full they overwrite their oldest records.
+    /// A fleet with a flight recorder
     /// overrides this on every chip with the capacity that holds the
     /// recorder's window (see
     /// [`RecorderConfig::ring_capacity`](crate::RecorderConfig::ring_capacity)).
@@ -77,21 +75,6 @@ impl ObsConfig {
             DEFAULT_RING_CAPACITY
         } else {
             self.ring_capacity
-        }
-    }
-
-    /// Builds one trace ring for this configuration. A default-capacity
-    /// ring records a whole run and takes tens of thousands of epochs to
-    /// fill at a few records per epoch, so it is pre-touched
-    /// ([`TraceRing::prefaulted`]) and recording never page-faults inside
-    /// the control loop. A ring with an explicit capacity (a recorder
-    /// fleet's fills within a few hundred epochs) is touched as it fills,
-    /// which keeps building many of them cheap.
-    pub fn build_ring(&self) -> TraceRing {
-        if self.ring_capacity == 0 {
-            TraceRing::prefaulted(DEFAULT_RING_CAPACITY)
-        } else {
-            TraceRing::with_capacity(self.ring_capacity)
         }
     }
 

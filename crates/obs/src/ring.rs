@@ -37,26 +37,6 @@ impl TraceRing {
         }
     }
 
-    /// Like [`TraceRing::with_capacity`], but writes every slot once so
-    /// the whole buffer is resident before the first record: recording
-    /// then never takes a first-touch page fault on the hot path. Costs
-    /// one pass over the buffer (and its full size in resident memory) at
-    /// construction.
-    pub fn prefaulted(capacity: usize) -> Self {
-        let mut ring = Self::with_capacity(capacity);
-        let blank = EventRecord {
-            epoch: 0,
-            core: 0,
-            seq: 0,
-            event: Event::Epoch { power_w: 0.0 },
-        };
-        ring.buf.resize(ring.cap, blank);
-        // Keep the stores: they exist only to fault the pages in.
-        std::hint::black_box(&mut ring.buf);
-        ring.buf.clear();
-        ring
-    }
-
     /// Records one event. Allocation-free: the slot was reserved at
     /// construction, and a full ring overwrites its oldest record.
     #[inline]
@@ -199,17 +179,6 @@ mod tests {
             r.record(i, 1, ev(0.0));
         }
         assert_eq!(r.buf.capacity(), cap_before);
-    }
-
-    #[test]
-    fn prefaulted_ring_starts_empty_with_its_buffer_reserved() {
-        let mut r = TraceRing::prefaulted(8);
-        assert!(r.is_empty());
-        assert_eq!(r.buf.capacity(), 8);
-        for i in 0..10 {
-            r.record(i, 0, ev(0.0));
-        }
-        assert_eq!((r.len(), r.dropped(), r.buf.capacity()), (8, 2, 8));
     }
 
     #[test]

@@ -14,9 +14,11 @@
 # For every gated end-to-end metric in BENCHMARK.json it prints the
 # median and interquartile range (IQR) of each side, the change in the
 # median, and in how many pairs the change beat the base. The verdict is
-# "better" or "worse" only when the change in the median exceeds the
-# base's own IQR; otherwise it is "no verdict". It also reports whether
-# the simulated-output digests of the two sides agree.
+# "better" only when the change beat the base in at least 90 % of the
+# pairs (9 of 10) AND the change in the median exceeds the base's own IQR;
+# "worse" needs the same with the base beating the change. Anything else
+# is "no verdict". It also reports whether the simulated-output digests
+# of the two sides agree.
 #
 # Neither side's build writes into perfbench/: both use target
 # directories under target/ab/ (the base's source is removed on exit).
@@ -35,7 +37,7 @@ while [ $# -gt 0 ]; do
         -n) PAIRS="$2"; shift 2 ;;
         -s) SECONDS_PER_RUN="$2"; shift 2 ;;
         --seed) SEED="$2"; shift 2 ;;
-        -h|--help) sed -n '2,22p' "$0"; exit 0 ;;
+        -h|--help) sed -n '2,24p' "$0"; exit 0 ;;
         -*) echo "error: unknown option $1" >&2; exit 2 ;;
         *) BASE_REV="$1"; shift ;;
     esac
@@ -77,6 +79,7 @@ done
 
 python3 - "$ROOT/BENCHMARK.json" "$RUNS" "$WORKLOAD" <<'EOF'
 import json
+import math
 import statistics
 import sys
 
@@ -120,10 +123,19 @@ for m in gated:
     iqr = bq3 - bq1
     delta = cm - bm
     wins = sum((c < b) if lower else (c > b) for b, c in vals)
+    losses = sum((c > b) if lower else (c < b) for b, c in vals)
+    # A verdict needs both a consistent direction (>= 90 % of pairs) and a
+    # median shift larger than the base's own spread.
+    needed = math.ceil(0.9 * len(vals))
+    improved = (delta < 0) == lower
     if abs(delta) <= iqr or delta == 0:
         verdict = "no verdict"
+    elif improved and wins >= needed:
+        verdict = "better"
+    elif not improved and losses >= needed:
+        verdict = "worse"
     else:
-        verdict = "better" if (delta < 0) == lower else "worse"
+        verdict = "no verdict"
     rel = f"{delta / bm:+.1%}" if bm else "n/a"
     print(f"{name:<16}{bm:>12.4g}{iqr:>12.4g}{cm:>12.4g}{cq3 - cq1:>12.4g}"
           f"{rel:>10}{wins:>4}/{len(vals):<2}  {verdict}")
